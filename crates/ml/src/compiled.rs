@@ -23,6 +23,12 @@
 //!   blocks run in parallel on the rayon shim; each row's accumulator still
 //!   receives tree contributions in tree order, so the result is
 //!   **bit-identical** to the interpreter at any worker-thread count.
+//! * **Fan-out threshold** — a batch goes parallel only when its
+//!   `rows × trees` reaches [`PARALLEL_MIN_ROW_TREES`] (4 096 row·trees,
+//!   about 100–200 µs of serial tree walks). Below it, spawning scoped
+//!   threads costs more than it saves, so small batches — the serving
+//!   tier's micro-batches — run on the calling thread. The interpreted
+//!   [`RandomForestRegressor::predict_batch`] applies the same rule.
 //!
 //! Bit-identity with [`RandomForestRegressor::predict`] is a structural
 //! property, not a coincidence: both paths zero an accumulator, add each
@@ -40,6 +46,26 @@ use crate::{MlError, Result};
 
 /// Marker in the `feature` array identifying a leaf node.
 const LEAF: u32 = u32::MAX;
+
+/// Smallest batch, in `rows × trees`, that a batch prediction splits across
+/// worker threads. Measured on a 2-vCPU Xeon with the default 100-tree
+/// model: one row·tree walk costs 25–55 ns and an empty two-way
+/// scoped-thread fan-out ~70 µs, so a two-way split breaks even near
+/// 2 600 row·trees; the threshold leaves margin above that. With 100 trees
+/// the cut falls at 41 rows: serving micro-batches (at most 32 rows by
+/// default) stay on the calling thread, while offline batches such as the
+/// 103-query SF100 suite still fan out.
+pub const PARALLEL_MIN_ROW_TREES: usize = 4096;
+
+/// How many row blocks a batch of `rows` rows over `trees` trees is split
+/// into: 1 (score on the calling thread) below [`PARALLEL_MIN_ROW_TREES`],
+/// otherwise one block per worker thread, never more blocks than rows.
+pub(crate) fn batch_blocks(rows: usize, trees: usize) -> usize {
+    if rows.saturating_mul(trees) < PARALLEL_MIN_ROW_TREES {
+        return 1;
+    }
+    rayon::current_num_threads().clamp(1, rows)
+}
 
 /// A fitted forest compiled into flat struct-of-arrays storage for fast
 /// inference. Build one with [`CompiledForest::compile`]; predictions are
@@ -206,7 +232,8 @@ impl CompiledForest {
     ///
     /// Iteration is trees-outer / rows-inner per row block, so the node
     /// arrays stream through cache once per tree instead of once per row.
-    /// Blocks of rows run in parallel (rayon shim); each row's accumulator
+    /// Batches of at least [`PARALLEL_MIN_ROW_TREES`] row·trees run their
+    /// row blocks in parallel (rayon shim); each row's accumulator
     /// receives tree contributions in tree order regardless of blocking, so
     /// the output is bit-identical to [`predict_into`](Self::predict_into)
     /// per row at any worker-thread count.
@@ -228,13 +255,13 @@ impl CompiledForest {
         self.check_row_width(matrix.width())?;
         out.fill(0.0);
 
-        let workers = rayon::current_num_threads().max(1);
-        if workers <= 1 || rows < 2 * workers {
+        let blocks = batch_blocks(rows, self.num_trees);
+        if blocks <= 1 {
             self.accumulate_rows(matrix, 0, out);
         } else {
             // One contiguous row block per worker: a single row's walk is
             // sub-microsecond, so per-row dispatch would dominate the work.
-            let block_rows = rows.div_ceil(workers);
+            let block_rows = rows.div_ceil(blocks);
             let blocks: Vec<(usize, &mut [f64])> = out
                 .chunks_mut(block_rows * k)
                 .enumerate()
@@ -347,6 +374,26 @@ mod tests {
             let k = compiled.num_outputs();
             assert_eq!(bits(&single), bits(&flat[i * k..(i + 1) * k]), "row {i}");
         }
+    }
+
+    #[test]
+    fn fan_out_starts_at_the_row_tree_threshold() {
+        let wide = rayon::ThreadPoolBuilder::new()
+            .num_threads(8)
+            .build()
+            .unwrap();
+        wide.install(|| {
+            // Serving micro-batches of the default 100-tree model stay on
+            // the calling thread; the 103-row SF100 suite fans out.
+            assert_eq!(batch_blocks(32, 100), 1);
+            assert_eq!(batch_blocks(103, 100), 8);
+            assert_eq!(batch_blocks(PARALLEL_MIN_ROW_TREES - 1, 1), 1);
+            assert_eq!(batch_blocks(PARALLEL_MIN_ROW_TREES, 1), 8);
+            // Never more blocks than rows.
+            assert_eq!(batch_blocks(2, PARALLEL_MIN_ROW_TREES), 2);
+            assert_eq!(batch_blocks(1, PARALLEL_MIN_ROW_TREES), 1);
+            assert_eq!(batch_blocks(0, 100), 1);
+        });
     }
 
     #[test]

@@ -247,16 +247,18 @@ impl RandomForestRegressor {
     }
 
     /// Predicts target vectors for many rows (output order matches input
-    /// order). Rows are scored in parallel **chunks** — a single row's tree
+    /// order). Batches of at least
+    /// [`PARALLEL_MIN_ROW_TREES`](crate::compiled::PARALLEL_MIN_ROW_TREES)
+    /// row·trees are scored in parallel **chunks** — a single row's tree
     /// walk is microseconds, so per-row task dispatch would cost more than
     /// the work; one contiguous chunk per worker keeps dispatch overhead
-    /// off the scoring path.
+    /// off the scoring path. Smaller batches run on the calling thread.
     pub fn predict_batch(&self, rows: &[Vec<f64>]) -> Result<Vec<Vec<f64>>> {
-        let workers = rayon::current_num_threads().max(1);
-        if workers <= 1 || rows.len() < 2 * workers {
+        let blocks = crate::compiled::batch_blocks(rows.len(), self.trees.len());
+        if blocks <= 1 {
             return rows.iter().map(|r| self.predict(r)).collect();
         }
-        let chunk_size = rows.len().div_ceil(workers);
+        let chunk_size = rows.len().div_ceil(blocks);
         let chunks: Vec<&[Vec<f64>]> = rows.chunks(chunk_size).collect();
         let nested: Vec<Vec<Vec<f64>>> = chunks
             .into_par_iter()

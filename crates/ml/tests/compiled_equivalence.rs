@@ -8,7 +8,7 @@
 //! maximally deep chain trees, zero-information feature columns, empty
 //! batches, and (via the proptest shim) random fitted forests.
 
-use ae_ml::compiled::CompiledForest;
+use ae_ml::compiled::{CompiledForest, PARALLEL_MIN_ROW_TREES};
 use ae_ml::dataset::Dataset;
 use ae_ml::forest::{RandomForestConfig, RandomForestRegressor};
 use ae_ml::matrix::FeatureMatrix;
@@ -145,6 +145,62 @@ fn empty_batches_and_zero_width_trees_are_handled() {
     assert_eq!(tree.node_count(), 1);
     assert_eq!(tree.depth(), 0);
     assert!((tree.predict(&[]).unwrap()[0] - 2.0).abs() < 1e-12);
+}
+
+#[test]
+fn batches_at_the_fan_out_threshold_are_equivalent_at_any_pool_width() {
+    // rows × trees one below, at, and one above the threshold, each with
+    // the largest tree count up to 24 that divides it exactly.
+    for target in [
+        PARALLEL_MIN_ROW_TREES - 1,
+        PARALLEL_MIN_ROW_TREES,
+        PARALLEL_MIN_ROW_TREES + 1,
+    ] {
+        let trees = (1..=24).rev().find(|t| target % t == 0).unwrap();
+        let n_rows = target / trees;
+        let mut d = Dataset::new(
+            vec!["x0".into(), "x1".into()],
+            vec!["y0".into(), "y1".into()],
+        );
+        for i in 0..60 {
+            let (x0, x1) = ((i % 11) as f64, (i % 5) as f64);
+            d.push_row(format!("r{i}"), vec![x0, x1], vec![x0 * x1, 9.0 - x0])
+                .unwrap();
+        }
+        let mut rf = RandomForestRegressor::new(RandomForestConfig {
+            n_estimators: trees,
+            seed: target as u64,
+            ..Default::default()
+        });
+        rf.fit(&d).unwrap();
+        let compiled = CompiledForest::compile(&rf).unwrap();
+        let rows: Vec<Vec<f64>> = (0..n_rows)
+            .map(|i| vec![(i % 23) as f64 * 0.5, (i % 7) as f64 - 1.0])
+            .collect();
+        let expected: Vec<Vec<u64>> = rows.iter().map(|r| bits(&rf.predict(r).unwrap())).collect();
+        let matrix = FeatureMatrix::from_rows(&rows).unwrap();
+        let k = compiled.num_outputs();
+        for width in [1, 2, 8] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(width)
+                .build()
+                .unwrap();
+            let (flat, interpreted) = pool.install(|| {
+                let mut flat = Vec::new();
+                compiled.predict_batch(&matrix, &mut flat).unwrap();
+                (flat, rf.predict_batch(&rows).unwrap())
+            });
+            for (i, want) in expected.iter().enumerate() {
+                let context = format!("rows×trees {target}, width {width}, row {i}");
+                assert_eq!(
+                    &bits(&flat[i * k..(i + 1) * k]),
+                    want,
+                    "compiled, {context}"
+                );
+                assert_eq!(&bits(&interpreted[i]), want, "interpreted, {context}");
+            }
+        }
+    }
 }
 
 proptest! {

@@ -19,8 +19,9 @@ pub struct RuntimeConfig {
     /// Maximum requests scored per forest call.
     pub max_batch: usize,
     /// After the first request of a batch arrives, how long a worker tops
-    /// the batch up before scoring. `Duration::ZERO` drains whatever is
-    /// queued immediately (pure FIFO micro-batching).
+    /// the batch up before scoring. `Duration::ZERO` (the default) drains
+    /// whatever is queued immediately: the worker never idles while work
+    /// waits, and under load batches still form from the backlog.
     pub batch_window: Duration,
     /// Bound on the admission queue. Blocking submitters wait when it is
     /// full ([`crate::ScoringRuntime::score`]); non-blocking submitters are
@@ -66,14 +67,15 @@ pub struct RuntimeConfig {
 
 impl RuntimeConfig {
     /// Concurrent serving defaults derived from a pipeline configuration:
-    /// one worker per available core (at most 8), batches of up to 32, a
-    /// 100 µs batch window, and a 1024-deep admission queue.
+    /// one worker per available core (at most 8), batches of up to 32, no
+    /// batch window (work-conserving: a worker drains whatever is queued
+    /// without waiting for more), and a 1024-deep admission queue.
     pub fn from_auto_executor(config: &AutoExecutorConfig) -> Self {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         Self {
             workers: cores.clamp(1, 8),
             max_batch: 32,
-            batch_window: Duration::from_micros(100),
+            batch_window: Duration::ZERO,
             queue_capacity: 1024,
             inline_when_idle: true,
             inline_max_in_flight: (2 * cores).max(6),
@@ -196,6 +198,19 @@ mod tests {
         assert!(rt.queue_capacity >= 1);
         assert!(rt.inline_when_idle);
         assert_eq!(rt.candidate_counts, cfg.candidate_counts());
+        // Work-conserving by default: no top-up wait.
+        assert_eq!(rt.batch_window, Duration::ZERO);
+        // Deterministic mode is untouched by the serving defaults.
+        let det = RuntimeConfig::deterministic(&cfg);
+        assert_eq!(det.workers, 1);
+        assert_eq!(det.max_batch, 32);
+        assert_eq!(det.batch_window, Duration::ZERO);
+        assert_eq!(det.queue_capacity, 1024);
+        assert!(!det.inline_when_idle);
+        assert_eq!(det.inline_max_in_flight, 0);
+        assert_eq!(det.candidate_counts, cfg.candidate_counts());
+        assert!(det.breaker.is_none());
+        assert!(det.observability.is_none());
     }
 
     #[test]

@@ -9,10 +9,14 @@
 //! * **[`ScoringRuntime`]** accepts scoring requests from any number of
 //!   threads, places them on a bounded queue (backpressure), and has worker
 //!   threads drain the queue in **micro-batches**: whatever is queued — up
-//!   to `max_batch`, topped up for at most `batch_window` — is featurized
-//!   into one flat [`ae_ml::matrix::FeatureMatrix`] and pushed through the
-//!   batched forest/selection path
-//!   ([`autoexecutor::scoring::score_feature_batch`]).
+//!   to `max_batch` — is laid out in one flat
+//!   [`ae_ml::matrix::FeatureMatrix`] and pushed through the batched
+//!   forest/selection path
+//!   ([`autoexecutor::scoring::score_feature_batch`]). Draining is
+//!   work-conserving by default: a worker never waits for more requests
+//!   (`batch_window` is zero unless a caller sets it), so batches form
+//!   from the backlog under load. A row of the wrong width fails alone
+//!   with a [`ServeError`]; the rest of its batch is still scored.
 //! * When the runtime is **idle** the submitting thread scores **inline**
 //!   instead of paying a queue round-trip, so single-query latency never
 //!   regresses relative to the sequential rule.

@@ -6,12 +6,12 @@
 //!  client threads                     workers (config.workers)
 //!  ──────────────                     ────────────────────────
 //!  featurize plan                     wait for first request
-//!  tenant token bucket                top batch up (batch_window, max_batch)
-//!  (grant / demote / reject)          WRR across levels, EDF within level
-//!  idle? → score inline ─────┐        lay rows out in one FeatureMatrix
-//!  else: per-level EDF queue ┼──────▶ score_feature_batch → fulfill each
-//!  (full? shed BestEffort)   │        record deadline hit/miss per level
-//!  wait on completion ◀──────┘
+//!  tenant token bucket                drain up to max_batch (a set
+//!  (grant / demote / reject)          batch_window tops up first)
+//!  idle? → score inline ─────┐        WRR across levels, EDF within level
+//!  else: per-level EDF queue ┼──────▶ lay rows out in one FeatureMatrix
+//!  (full? shed BestEffort)   │        score_feature_batch → fulfill each
+//!  wait on completion ◀──────┘        record deadline hit/miss per level
 //! ```
 //!
 //! Scoring is pure (no RNG, no shared mutable state), so results are a
@@ -397,6 +397,22 @@ impl Shared {
         Ok(decoded)
     }
 
+    /// Rejects a feature vector whose width is not the full feature width
+    /// every model consumes (feature sets project from the full vector).
+    /// Submission checks it up front so a malformed request fails fast;
+    /// the scoring paths check it again, so a row that reaches a worker
+    /// some other way fails alone instead of panicking the worker.
+    fn check_width(&self, features: &[f64]) -> Result<()> {
+        if features.len() != self.feature_width {
+            return Err(ServeError::Scoring(format!(
+                "feature vector has {} columns, the model expects {}",
+                features.len(),
+                self.feature_width
+            )));
+        }
+        Ok(())
+    }
+
     /// The raw model path for one request: resolve, predict, select (with
     /// the configured risk adjustment). No breaker involvement.
     fn model_score_one(&self, features: &[f64]) -> Result<ResourceRequest> {
@@ -414,6 +430,7 @@ impl Shared {
 
     /// The heuristic fallback for one request (degraded mode).
     fn fallback_one(&self, features: &[f64]) -> Result<ResourceRequest> {
+        self.check_width(features)?;
         heuristic_request(
             features,
             self.config.objective,
@@ -503,48 +520,77 @@ impl Shared {
     }
 
     /// The raw model path for a multi-request batch: resolve once, lay the
-    /// rows out in `matrix`, run the batched kernel.
+    /// well-formed rows out in `matrix`, run the batched kernel. The outer
+    /// error is a batch-wide model failure; a row of the wrong width fails
+    /// alone (its own inner error) and the other rows are still scored.
     fn model_score_batch(
         &self,
         matrix: &mut FeatureMatrix,
         batch: &[QueuedRequest],
-    ) -> Result<Vec<ResourceRequest>> {
+    ) -> Result<Vec<Result<ResourceRequest>>> {
         let model = self.resolve_model()?;
         matrix.clear();
-        for request in batch {
-            matrix
-                .push_row(&request.features)
-                .expect("featurize_plan emits fixed-width rows");
+        // `matrix` is `feature_width` wide, so `push_row` is the width check.
+        let rows: Vec<Result<()>> = batch
+            .iter()
+            .map(|request| {
+                matrix
+                    .push_row(&request.features)
+                    .map_err(|e| ServeError::Scoring(e.to_string()))
+            })
+            .collect();
+        let scored = if matrix.is_empty() {
+            Vec::new()
+        } else {
+            scoring::score_feature_batch_with_risk(
+                &model,
+                matrix,
+                self.config.objective,
+                &self.config.candidate_counts,
+                self.config.preemption_risk.as_ref(),
+            )
+            .map_err(|e| ServeError::Scoring(e.to_string()))?
+        };
+        let mut scored = scored.into_iter();
+        Ok(rows
+            .into_iter()
+            .map(|row| {
+                row.and_then(|()| {
+                    scored.next().ok_or_else(|| {
+                        ServeError::Scoring("batch scoring returned too few rows".into())
+                    })
+                })
+            })
+            .collect())
+    }
+
+    /// Records a scored batch and fulfills each row with its own result.
+    fn complete_batch(
+        &self,
+        batch: &[QueuedRequest],
+        results: Vec<Result<ResourceRequest>>,
+        degraded: bool,
+    ) {
+        let errors = results.iter().filter(|r| r.is_err()).count();
+        self.stats.record_batch(batch.len(), errors);
+        let now = Instant::now();
+        for (request, result) in batch.iter().zip(results) {
+            self.fulfill(request, result, degraded, now);
         }
-        scoring::score_feature_batch_with_risk(
-            &model,
-            matrix,
-            self.config.objective,
-            &self.config.candidate_counts,
-            self.config.preemption_risk.as_ref(),
-        )
-        .map_err(|e| ServeError::Scoring(e.to_string()))
     }
 
     /// Serves a whole batch from the heuristic fallback (degraded mode).
-    /// The heuristic fails only on an empty candidate range, which is
-    /// uniform across rows, so the batch is counted failed iff every row is.
     fn fallback_batch(&self, batch: &[QueuedRequest]) {
-        let results: Vec<Result<ResourceRequest>> = batch
+        let results = batch
             .iter()
             .map(|request| self.fallback_one(&request.features))
             .collect();
-        let failed = results.iter().all(|r| r.is_err());
-        self.stats.record_batch(batch.len(), failed);
-        let now = Instant::now();
-        for (request, result) in batch.iter().zip(results) {
-            self.fulfill(request, result, true, now);
-        }
+        self.complete_batch(batch, results, true);
     }
 
     /// Fails a whole batch with one error.
     fn fail_batch(&self, batch: &[QueuedRequest], error: ServeError) {
-        self.stats.record_batch(batch.len(), true);
+        self.stats.record_batch(batch.len(), batch.len());
         for request in batch {
             request.done.fulfill(Err(error.clone()));
         }
@@ -569,8 +615,14 @@ impl Shared {
             _ => {}
         }
         if batch.len() == 1 {
-            let result = self.score_one(&batch[0].features);
-            self.stats.record_batch(1, result.is_err());
+            // Inline callers were width-checked at submission; a drained
+            // row is checked here, before the breaker, so a malformed row
+            // fails alone and never counts toward tripping it.
+            let features = &batch[0].features;
+            let result = self
+                .check_width(features)
+                .and_then(|()| self.score_one(features));
+            self.stats.record_batch(1, usize::from(result.is_err()));
             match result {
                 Ok((request, degraded)) => {
                     self.fulfill(&batch[0], Ok(request), degraded, Instant::now())
@@ -587,7 +639,7 @@ impl Shared {
         }
         let begin = Instant::now();
         match self.model_score_batch(matrix, &batch) {
-            Ok(requests) => {
+            Ok(results) => {
                 if let Some(breaker) = &self.breaker {
                     if breaker.over_budget(begin.elapsed()) {
                         self.breaker_failure(breaker);
@@ -595,11 +647,7 @@ impl Shared {
                         self.breaker_success(breaker);
                     }
                 }
-                self.stats.record_batch(batch.len(), false);
-                let now = Instant::now();
-                for (request, outcome) in batch.iter().zip(requests) {
-                    self.fulfill(request, Ok(outcome), false, now);
-                }
+                self.complete_batch(&batch, results, false);
             }
             Err(e) => {
                 if let Some(breaker) = &self.breaker {
@@ -671,8 +719,9 @@ impl MetricSource for StatsSource {
     }
 }
 
-/// Worker loop: wait for work, top the batch up within the window, drain
-/// by WRR-across-levels / EDF-within-level, score, repeat.
+/// Worker loop: wait for work, top the batch up within the window (when
+/// one is set), drain by WRR-across-levels / EDF-within-level, score,
+/// repeat.
 fn worker_loop(shared: Arc<Shared>) {
     let mut matrix = FeatureMatrix::with_capacity(shared.feature_width, shared.config.max_batch);
     loop {
@@ -844,20 +893,6 @@ impl ScoringRuntime {
             .map(|outcome| outcome.request)
     }
 
-    /// Rejects feature vectors of the wrong width up front: past this point
-    /// a malformed row would only surface inside a worker batch, where a
-    /// panic would kill the worker and strand every completion in the batch.
-    fn validate_width(&self, features: &[f64]) -> Result<()> {
-        if features.len() != self.shared.feature_width {
-            return Err(ServeError::Scoring(format!(
-                "feature vector has {} columns, the model expects {}",
-                features.len(),
-                self.shared.feature_width
-            )));
-        }
-        Ok(())
-    }
-
     /// Tenant admission + deadline stamping: applies the fairness policy
     /// (which may demote the level or reject outright) and resolves the
     /// absolute deadline. Returns the queued-request envelope.
@@ -894,7 +929,7 @@ impl ScoringRuntime {
     /// least-urgent queued `BestEffort` request beyond the protected floor
     /// instead of waiting, if one exists) and until the result is ready.
     pub fn submit(&self, request: ScoreRequest) -> Result<ScoreOutcome> {
-        self.validate_width(&request.features)?;
+        self.shared.check_width(&request.features)?;
         let (level, deadline) = self.admit(&request, Instant::now())?;
         if self.try_claim_inline() {
             return self.score_inline_claimed(request.features, level, deadline);
@@ -908,7 +943,7 @@ impl ScoringRuntime {
     /// [`ServeError::Saturated`] (counting the request as dropped) when the
     /// queue is full and shedding cannot make room.
     pub fn try_submit(&self, request: ScoreRequest) -> Result<ScoreOutcome> {
-        self.validate_width(&request.features)?;
+        self.shared.check_width(&request.features)?;
         let (level, deadline) = self.admit(&request, Instant::now())?;
         if self.try_claim_inline() {
             return self.score_inline_claimed(request.features, level, deadline);
@@ -924,7 +959,7 @@ impl ScoringRuntime {
     /// go through the queues (never the inline shortcut) — the point is to
     /// keep the submitting thread free.
     pub fn submit_detached(&self, request: ScoreRequest) -> Result<ScoreTicket> {
-        self.validate_width(&request.features)?;
+        self.shared.check_width(&request.features)?;
         let (level, deadline) = self.admit(&request, Instant::now())?;
         let done = self.admit_to_queues(request.features, level, deadline, true)?;
         Ok(ScoreTicket {
@@ -940,7 +975,7 @@ impl ScoringRuntime {
     /// what an open-loop load generator uses: arrivals keep their schedule
     /// and overload turns into sheds/drops rather than client-side queueing.
     pub fn try_submit_detached(&self, request: ScoreRequest) -> Result<ScoreTicket> {
-        self.validate_width(&request.features)?;
+        self.shared.check_width(&request.features)?;
         let (level, deadline) = self.admit(&request, Instant::now())?;
         let done = self.admit_to_queues(request.features, level, deadline, false)?;
         Ok(ScoreTicket {
@@ -1040,7 +1075,7 @@ impl ScoringRuntime {
     /// Lightly loaded traffic is judged on the *in-flight* count, not on
     /// "queue empty" — under concurrent submission the queue stays empty
     /// exactly because everyone would take the shortcut. Load beyond the
-    /// bound overflows into the queue, where the batch window amortizes it.
+    /// bound overflows into the queue, where batching amortizes it.
     /// On success the caller holds one in-flight slot and must score and
     /// release via [`score_inline_claimed`](Self::score_inline_claimed).
     fn try_claim_inline(&self) -> bool {
@@ -1279,5 +1314,163 @@ impl ScoringRuntime {
 impl Drop for ScoringRuntime {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ae_workload::{ScaleFactor, WorkloadGenerator};
+    use autoexecutor::config::AutoExecutorConfig;
+    use autoexecutor::training::train_from_workload;
+
+    /// A small registered model plus full-width feature rows to score.
+    fn fixture() -> (
+        Arc<ModelRegistry>,
+        ParameterModel,
+        AutoExecutorConfig,
+        Vec<Vec<f64>>,
+    ) {
+        let generator = WorkloadGenerator::new(ScaleFactor::SF10);
+        let training: Vec<_> = ["q3", "q19", "q55", "q68"]
+            .iter()
+            .map(|n| generator.instance(n))
+            .collect();
+        let mut config = AutoExecutorConfig::default();
+        config.forest.n_estimators = 8;
+        config.training_run.noise_cv = 0.0;
+        let (_, model) = train_from_workload(&training, &config).unwrap();
+        let registry = Arc::new(ModelRegistry::in_memory());
+        registry
+            .register("ppm", model.to_portable("ppm").unwrap())
+            .unwrap();
+        let rows = ["q7", "q11", "q27"]
+            .iter()
+            .map(|n| featurize_plan(&generator.instance(n).plan))
+            .collect();
+        (registry, model, config, rows)
+    }
+
+    fn queued(features: Vec<f64>) -> QueuedRequest {
+        let now = Instant::now();
+        QueuedRequest {
+            features,
+            level: ServiceLevel::Standard,
+            admitted_at: now,
+            deadline: now + Duration::from_secs(60),
+            done: Arc::new(Completion::default()),
+        }
+    }
+
+    /// `[good, too short, good, too wide, good]` over the fixture rows.
+    fn mixed_batch(rows: &[Vec<f64>]) -> Vec<QueuedRequest> {
+        let mut short = rows[1].clone();
+        short.pop();
+        let mut wide = rows[2].clone();
+        wide.push(1.0);
+        vec![
+            queued(rows[0].clone()),
+            queued(short),
+            queued(rows[1].clone()),
+            queued(wide),
+            queued(rows[2].clone()),
+        ]
+    }
+
+    /// Waits for one ticket; a dead worker fails the test instead of
+    /// hanging it.
+    fn redeem(done: &Completion) -> Result<Scored> {
+        done.wait_timeout(Duration::from_secs(30))
+            .expect("the ticket resolves (the worker is alive)")
+    }
+
+    /// Waits for every ticket, checking the malformed ones (indices 1 and
+    /// 3) failed with a scoring error and the good ones match the
+    /// sequential rule bit for bit.
+    fn assert_bad_rows_failed_alone(
+        done: &[Arc<Completion>],
+        model: &ParameterModel,
+        config: &AutoExecutorConfig,
+        rows: &[Vec<f64>],
+    ) {
+        let counts = config.candidate_counts();
+        let good = [(0, &rows[0]), (2, &rows[1]), (4, &rows[2])];
+        for (slot, row) in good {
+            let served = redeem(&done[slot]).expect("a good row is scored").request;
+            let expected = scoring::score_features(model, row, config.objective, &counts)
+                .unwrap()
+                .request;
+            assert_eq!(served.executors, expected.executors, "row {slot}");
+            let bits = |curve: &[(usize, f64)]| -> Vec<(usize, u64)> {
+                curve.iter().map(|&(n, t)| (n, t.to_bits())).collect()
+            };
+            assert_eq!(
+                bits(&served.predicted_curve),
+                bits(&expected.predicted_curve),
+                "row {slot}"
+            );
+        }
+        for slot in [1, 3] {
+            assert!(
+                matches!(redeem(&done[slot]), Err(ServeError::Scoring(_))),
+                "malformed row {slot} must fail with a scoring error"
+            );
+        }
+    }
+
+    #[test]
+    fn process_batch_fails_a_wrong_width_row_alone() {
+        let (registry, model, config, rows) = fixture();
+        // No workers: this thread plays the worker.
+        let runtime = ScoringRuntime::new(
+            registry,
+            "ppm",
+            RuntimeConfig::deterministic(&config).with_workers(0),
+        );
+        let batch = mixed_batch(&rows);
+        let done: Vec<Arc<Completion>> = batch.iter().map(|q| Arc::clone(&q.done)).collect();
+        let mut matrix = FeatureMatrix::with_capacity(runtime.shared.feature_width, batch.len());
+        runtime.shared.process_batch(&mut matrix, batch);
+        assert_bad_rows_failed_alone(&done, &model, &config, &rows);
+        let stats = runtime.stats();
+        assert_eq!(stats.batches, 1);
+        assert_eq!(stats.completed, 3);
+        assert_eq!(stats.errors, 2);
+    }
+
+    #[test]
+    fn worker_survives_a_wrong_width_row() {
+        let (registry, model, config, rows) = fixture();
+        let runtime = ScoringRuntime::new(
+            registry,
+            "ppm",
+            RuntimeConfig::deterministic(&config).with_max_batch(8),
+        );
+        runtime.warm().unwrap();
+        // Injected rows skip admission's width check, as a row admitted
+        // against a since-replaced model would.
+        let batch = mixed_batch(&rows);
+        let done: Vec<Arc<Completion>> = batch.iter().map(|q| Arc::clone(&q.done)).collect();
+        assert!(runtime.inject_backlog(batch).is_empty());
+        assert_bad_rows_failed_alone(&done, &model, &config, &rows);
+        // A lone malformed row takes the single-row path.
+        let lone = queued(vec![0.0; 3]);
+        let lone_done = Arc::clone(&lone.done);
+        assert!(runtime.inject_backlog(vec![lone]).is_empty());
+        assert!(matches!(redeem(&lone_done), Err(ServeError::Scoring(_))));
+        // The worker is still alive and serving.
+        let after = runtime.score_features(rows[0].clone()).unwrap();
+        let expected = scoring::score_features(
+            &model,
+            &rows[0],
+            config.objective,
+            &config.candidate_counts(),
+        )
+        .unwrap()
+        .request;
+        assert_eq!(after.executors, expected.executors);
+        let stats = runtime.stats();
+        assert_eq!(stats.completed, 4);
+        assert_eq!(stats.errors, 3);
     }
 }

@@ -65,12 +65,15 @@ impl StatsInner {
         self.completed.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn record_batch(&self, size: usize, failed: bool) {
+    /// One scored batch of `size` requests, `errors` of which failed.
+    pub(crate) fn record_batch(&self, size: usize, errors: usize) {
         self.batches.fetch_add(1, Ordering::Relaxed);
-        if failed {
-            self.errors.fetch_add(size as u64, Ordering::Relaxed);
-        } else {
-            self.completed.fetch_add(size as u64, Ordering::Relaxed);
+        if errors > 0 {
+            self.errors.fetch_add(errors as u64, Ordering::Relaxed);
+        }
+        if errors < size {
+            self.completed
+                .fetch_add((size - errors) as u64, Ordering::Relaxed);
         }
         // Clamp before recording so the histogram's sum/mean/max agree
         // with its (clamped) buckets — same semantics as the ladder index.
@@ -411,10 +414,10 @@ mod tests {
     #[test]
     fn histogram_and_mean_batch_size() {
         let inner = StatsInner::new(4);
-        inner.record_batch(1, false);
-        inner.record_batch(3, false);
-        inner.record_batch(3, false);
-        inner.record_batch(9, false); // clamped into the last bucket
+        inner.record_batch(1, 0);
+        inner.record_batch(3, 0);
+        inner.record_batch(3, 0);
+        inner.record_batch(9, 0); // clamped into the last bucket
         let snap = inner.snapshot();
         assert_eq!(snap.batch_size_histogram, vec![1, 0, 2, 1]);
         assert_eq!(snap.completed, 16);
@@ -428,8 +431,8 @@ mod tests {
         let inner = StatsInner::new(8);
         inner.record_inline();
         inner.record_inline();
-        inner.record_batch(5, false);
-        inner.record_batch(2, true);
+        inner.record_batch(5, 0);
+        inner.record_batch(2, 2);
         inner.record_error();
         inner.record_dropped();
         let snap = inner.snapshot();
@@ -479,7 +482,7 @@ mod tests {
 
         inner.record_level_completed(ServiceLevel::Standard, true);
         inner.record_shed(ServiceLevel::BestEffort);
-        inner.record_batch(2, false);
+        inner.record_batch(2, 0);
         let delta = inner.snapshot().delta_since(&before);
         assert_eq!(delta.level(ServiceLevel::Standard).completed, 1);
         assert_eq!(delta.level(ServiceLevel::Standard).deadline_misses, 1);
@@ -494,15 +497,15 @@ mod tests {
     fn merge_from_sums_every_field() {
         let a = StatsInner::new(4);
         a.record_inline();
-        a.record_batch(3, false);
+        a.record_batch(3, 0);
         a.record_level_completed(ServiceLevel::Interactive, true);
         a.record_level_completed(ServiceLevel::Standard, false);
         a.record_shed(ServiceLevel::BestEffort);
         a.record_demoted();
         a.record_breaker_trip();
         let b = StatsInner::new(8); // longer histogram than `a`
-        b.record_batch(6, false);
-        b.record_batch(2, true);
+        b.record_batch(6, 0);
+        b.record_batch(2, 2);
         b.record_error();
         b.record_dropped();
         b.record_throttled();
@@ -550,8 +553,8 @@ mod tests {
     #[test]
     fn batch_histogram_snapshot_matches_vec() {
         let inner = StatsInner::new(4);
-        inner.record_batch(2, false);
-        inner.record_batch(9, false); // clamped into the last bucket
+        inner.record_batch(2, 0);
+        inner.record_batch(9, 0); // clamped into the last bucket
         let hist = inner.batch_histogram();
         let stats = inner.snapshot();
         assert_eq!(hist.bucket_counts(), stats.batch_size_histogram.as_slice());

@@ -22,22 +22,32 @@ use std::cell::Cell;
 use std::fmt;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 thread_local! {
     /// Per-thread override installed by [`ThreadPool::install`].
     static POOL_THREADS: Cell<usize> = const { Cell::new(0) };
 }
 
-/// Number of worker threads parallel operations on this thread will use.
+/// The default width, resolved once per process. `available_parallelism`
+/// reads cgroup and affinity state on every call (tens of microseconds on
+/// Linux), which would dominate a small batched scoring call; real rayon
+/// likewise sizes its global pool once.
+static DEFAULT_THREADS: OnceLock<usize> = OnceLock::new();
+
+/// Number of worker threads parallel operations on this thread will use:
+/// the [`ThreadPool::install`] override when one is in effect, otherwise
+/// the machine's available parallelism as resolved on first use.
 pub fn current_num_threads() -> usize {
     let override_n = POOL_THREADS.with(Cell::get);
     if override_n > 0 {
         return override_n;
     }
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
+    *DEFAULT_THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 /// Builder mirroring `rayon::ThreadPoolBuilder`.
@@ -270,7 +280,7 @@ impl<T> ParallelIterator for ParIter<T> {}
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
-    use super::ThreadPoolBuilder;
+    use super::{current_num_threads, ThreadPoolBuilder};
 
     #[test]
     fn map_preserves_order() {
@@ -334,6 +344,65 @@ mod tests {
         for (i, inner) in out.iter().enumerate() {
             assert_eq!(inner, &(0..5).map(|j| i * 10 + j).collect::<Vec<_>>());
         }
+    }
+
+    #[test]
+    fn default_width_is_stable_across_calls() {
+        let first = current_num_threads();
+        assert!(first >= 1);
+        for _ in 0..100 {
+            assert_eq!(current_num_threads(), first);
+        }
+    }
+
+    #[test]
+    fn install_overrides_the_cached_width_and_restores_it() {
+        let default = current_num_threads();
+        let pool = ThreadPoolBuilder::new()
+            .num_threads(default + 3)
+            .build()
+            .unwrap();
+        let inside = pool.install(current_num_threads);
+        assert_eq!(inside, default + 3);
+        assert_eq!(current_num_threads(), default);
+        // Nested installs restore the enclosing override, not the default.
+        let outer = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+        let inner = ThreadPoolBuilder::new().num_threads(5).build().unwrap();
+        let (during, after_inner) = outer.install(|| {
+            let during = inner.install(current_num_threads);
+            (during, current_num_threads())
+        });
+        assert_eq!((during, after_inner), (5, 2));
+        assert_eq!(current_num_threads(), default);
+    }
+
+    #[test]
+    fn nested_operations_inside_a_worker_see_width_one() {
+        let wide = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
+        let widths: Vec<usize> = wide.install(|| {
+            (0..16usize)
+                .into_par_iter()
+                .map(|_| current_num_threads())
+                .collect()
+        });
+        assert_eq!(widths, vec![1; 16]);
+        // ... so a nested operation runs on the worker's own thread.
+        let all_inline: Vec<bool> = wide.install(|| {
+            (0..8usize)
+                .into_par_iter()
+                .map(|_| {
+                    let worker = std::thread::current().id();
+                    let inner: Vec<std::thread::ThreadId> = (0..8usize)
+                        .into_par_iter()
+                        .map(|_| std::thread::current().id())
+                        .collect();
+                    inner.iter().all(|&id| id == worker)
+                })
+                .collect()
+        });
+        assert!(all_inline.iter().all(|&inline| inline));
+        // The worker-local width does not leak back to the caller.
+        assert_eq!(wide.install(current_num_threads), 4);
     }
 
     #[test]
