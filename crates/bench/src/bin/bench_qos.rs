@@ -384,7 +384,7 @@ fn run_fairness_phase(
         RuntimeConfig::from_auto_executor(config)
             .with_workers(1)
             .with_queue_capacity(64)
-            .with_inline_when_idle(false)
+            .with_inline_max_in_flight(0)
             .with_qos(QosConfig::default().with_fairness(policy)),
     ));
     runtime.warm().expect("model warm-up");

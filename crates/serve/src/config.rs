@@ -1,7 +1,5 @@
 //! Configuration of the scoring runtime.
 
-use std::time::Duration;
-
 use ae_ppm::risk::PreemptionRisk;
 use ae_ppm::selection::SelectionObjective;
 use autoexecutor::config::AutoExecutorConfig;
@@ -18,23 +16,14 @@ pub struct RuntimeConfig {
     pub workers: usize,
     /// Maximum requests scored per forest call.
     pub max_batch: usize,
-    /// After the first request of a batch arrives, how long a worker tops
-    /// the batch up before scoring. `Duration::ZERO` (the default) drains
-    /// whatever is queued immediately: the worker never idles while work
-    /// waits, and under load batches still form from the backlog.
-    pub batch_window: Duration,
     /// Bound on the admission queue. Blocking submitters wait when it is
-    /// full ([`crate::ScoringRuntime::score`]); non-blocking submitters are
+    /// full ([`crate::ScoringRuntime::submit`]); non-blocking submitters are
     /// rejected with [`crate::ServeError::Saturated`]
-    /// ([`crate::ScoringRuntime::try_score`]).
+    /// ([`crate::ScoringRuntime::try_submit`]).
     pub queue_capacity: usize,
-    /// Score on the submitting thread while the system is lightly loaded,
-    /// skipping the queue round-trip so an idle runtime serves single
-    /// queries at sequential-rule latency.
-    pub inline_when_idle: bool,
     /// How many requests may be in flight (inline + queued + batching)
     /// before submitters stop inlining and overflow into the batching
-    /// queue. Inline scoring skips the queue round-trip entirely (the slot
+    /// queue; `0` disables the inline shortcut. Inline scoring skips the queue round-trip entirely (the slot
     /// is claimed with a CAS; the model lookup takes brief read locks) and
     /// is cheapest while cores are available; the queue exists to absorb
     /// and amortize load beyond that.
@@ -67,17 +56,14 @@ pub struct RuntimeConfig {
 
 impl RuntimeConfig {
     /// Concurrent serving defaults derived from a pipeline configuration:
-    /// one worker per available core (at most 8), batches of up to 32, no
-    /// batch window (work-conserving: a worker drains whatever is queued
-    /// without waiting for more), and a 1024-deep admission queue.
+    /// one worker per available core (at most 8), batches of up to 32, and
+    /// a 1024-deep admission queue.
     pub fn from_auto_executor(config: &AutoExecutorConfig) -> Self {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         Self {
             workers: cores.clamp(1, 8),
             max_batch: 32,
-            batch_window: Duration::ZERO,
             queue_capacity: 1024,
-            inline_when_idle: true,
             inline_max_in_flight: (2 * cores).max(6),
             objective: config.objective,
             candidate_counts: config.candidate_counts(),
@@ -89,16 +75,14 @@ impl RuntimeConfig {
     }
 
     /// Deterministic mode: a single worker draining the queue strictly FIFO
-    /// with no batch window and no inline shortcut. Output is bit-identical
+    /// with no inline shortcut. Output is bit-identical
     /// to the sequential `AutoExecutorRule` (pinned by the regression test),
     /// and side effects (stats, completion order) are reproducible.
     pub fn deterministic(config: &AutoExecutorConfig) -> Self {
         Self {
             workers: 1,
             max_batch: 32,
-            batch_window: Duration::ZERO,
             queue_capacity: 1024,
-            inline_when_idle: false,
             inline_max_in_flight: 0,
             objective: config.objective,
             candidate_counts: config.candidate_counts(),
@@ -127,25 +111,14 @@ impl RuntimeConfig {
         self
     }
 
-    /// Overrides the batch window.
-    pub fn with_batch_window(mut self, window: Duration) -> Self {
-        self.batch_window = window;
-        self
-    }
-
     /// Overrides the admission-queue capacity (clamped to at least 1).
     pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = capacity.max(1);
         self
     }
 
-    /// Enables or disables the inline-when-idle shortcut.
-    pub fn with_inline_when_idle(mut self, inline: bool) -> Self {
-        self.inline_when_idle = inline;
-        self
-    }
-
-    /// Overrides the in-flight bound below which submitters score inline.
+    /// Overrides the in-flight bound below which submitters score inline
+    /// (`0` disables the inline shortcut).
     pub fn with_inline_max_in_flight(mut self, limit: usize) -> Self {
         self.inline_max_in_flight = limit;
         self
@@ -161,12 +134,6 @@ impl RuntimeConfig {
     /// Enables the degraded-mode circuit breaker.
     pub fn with_breaker(mut self, breaker: BreakerConfig) -> Self {
         self.breaker = Some(breaker);
-        self
-    }
-
-    /// Sets the preemption-risk model applied before selection.
-    pub fn with_preemption_risk(mut self, risk: PreemptionRisk) -> Self {
-        self.preemption_risk = Some(risk);
         self
     }
 
@@ -196,17 +163,13 @@ mod tests {
         assert!(rt.workers >= 1);
         assert!(rt.max_batch >= 1);
         assert!(rt.queue_capacity >= 1);
-        assert!(rt.inline_when_idle);
+        assert!(rt.inline_max_in_flight > 0);
         assert_eq!(rt.candidate_counts, cfg.candidate_counts());
-        // Work-conserving by default: no top-up wait.
-        assert_eq!(rt.batch_window, Duration::ZERO);
         // Deterministic mode is untouched by the serving defaults.
         let det = RuntimeConfig::deterministic(&cfg);
         assert_eq!(det.workers, 1);
         assert_eq!(det.max_batch, 32);
-        assert_eq!(det.batch_window, Duration::ZERO);
         assert_eq!(det.queue_capacity, 1024);
-        assert!(!det.inline_when_idle);
         assert_eq!(det.inline_max_in_flight, 0);
         assert_eq!(det.candidate_counts, cfg.candidate_counts());
         assert!(det.breaker.is_none());
@@ -218,8 +181,7 @@ mod tests {
         let cfg = AutoExecutorConfig::default();
         let rt = RuntimeConfig::deterministic(&cfg);
         assert_eq!(rt.workers, 1);
-        assert_eq!(rt.batch_window, Duration::ZERO);
-        assert!(!rt.inline_when_idle);
+        assert_eq!(rt.inline_max_in_flight, 0);
     }
 
     #[test]
@@ -229,12 +191,11 @@ mod tests {
             .with_workers(3)
             .with_max_batch(0)
             .with_queue_capacity(0)
-            .with_batch_window(Duration::from_millis(1))
-            .with_inline_when_idle(true);
+            .with_inline_max_in_flight(5);
         assert_eq!(rt.workers, 3);
         assert_eq!(rt.max_batch, 1);
         assert_eq!(rt.queue_capacity, 1);
-        assert!(rt.inline_when_idle);
+        assert_eq!(rt.inline_max_in_flight, 5);
         let s = rt.sanitized();
         assert_eq!(s.max_batch, 1);
     }

@@ -11,7 +11,7 @@
 //!   stream, so a shard's faults never depend on how many other shards
 //!   exist, and the same `(plan, shard count)` always yields the same
 //!   [`schedule`](FleetFaultPlan::schedule). [`FleetFaultPlan::none`] is
-//!   provably inert: no injector thread spawns and every hot-path check
+//!   provably inert: its schedule is empty and every hot-path check
 //!   is one untaken branch, keeping the zero-fault fleet bit-identical.
 //! * [`HealthPolicy`] / [`HealthState`] — how the fleet's health monitor
 //!   turns a shard's error rate, breaker state, and drain progress into
@@ -126,7 +126,7 @@ impl Default for FleetFaultPlan {
 }
 
 impl FleetFaultPlan {
-    /// No faults: every rate zero. The fleet spawns no injector thread
+    /// No faults: every rate zero. The fleet schedules no fault actions
     /// and behaves bit-identically to one built without a plan (pinned
     /// by `tests/fleet_resilience.rs`).
     pub fn none() -> Self {
@@ -178,8 +178,8 @@ impl FleetFaultPlan {
         self
     }
 
-    /// True when any fault kind has a positive rate — the condition for
-    /// spawning the fleet's injector thread.
+    /// True when any fault kind has a positive rate, i.e. when the
+    /// schedule can be non-empty.
     pub fn is_active(&self) -> bool {
         self.crash_rate_per_sec > 0.0
             || self.stall_rate_per_sec > 0.0
@@ -362,7 +362,7 @@ impl HealthState {
 /// How the fleet health monitor detects, quarantines, and re-admits
 /// shards. Attach with
 /// [`FleetConfig::with_health`](super::FleetConfig::with_health); `None`
-/// (the default) spawns no monitor and changes nothing.
+/// (the default) schedules no health checks and changes nothing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HealthPolicy {
     /// Monitor sampling period. Each check inspects every shard's error

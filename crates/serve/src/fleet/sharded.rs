@@ -10,14 +10,15 @@
 //!  hash tenant (or features) ──────▶ shard-local ScoringRuntime:
 //!  onto the current vnode ring        own queues / workers / model
 //!                                     cache / breaker / stats / obs
-//!                steal coordinator (policy.interval, backs off idle):
+//!                control thread — steal (policy.interval, backs off idle):
 //!                deepest backlog ≥ ratio × shallowest?
 //!                → migrate EDF-tail Standard/BestEffort
 //!                  entries to the shallowest routable shard
-//!                health monitor (policy.check_interval):
+//!                health checks (policy.check_interval):
 //!                error rate / open breaker / drain stall
 //!                → Suspect → Quarantined (ring removal + backlog
 //!                  evacuation) → Probation (trickle) → Healthy
+//!                fault plan: apply / clear each planned fault window
 //! ```
 //!
 //! Contracts, pinned by `tests/fleet_determinism.rs`,
@@ -26,8 +27,7 @@
 //! * **Routing is deterministic**: placement is a pure function of
 //!   `(ring seed, current ring membership, tenant)` — never of thread
 //!   interleaving, load, or wall-clock (see [`HashRing`]). With no
-//!   health policy the membership never changes, so routing reduces to
-//!   the PR-8 pure function of `(seed, shard count, tenant)`.
+//!   health policy the membership never changes.
 //! * **Sharding never changes answers**: scoring is a pure function of
 //!   features and model, so which shard (thief, evacuee host, or
 //!   failover target) scores a request can only change *when* it
@@ -55,9 +55,7 @@ use autoexecutor::optimizer::ResourceRequest;
 use autoexecutor::registry::ModelRegistry;
 use parking_lot::RwLock;
 
-use super::resilience::{
-    FaultEvent, FleetFaultPlan, HealthPolicy, HealthState, InducedFault, RetryBudget,
-};
+use super::resilience::{FleetFaultPlan, HealthPolicy, HealthState, InducedFault, RetryBudget};
 use super::ring::HashRing;
 use super::stats::FleetStats;
 use crate::config::RuntimeConfig;
@@ -106,7 +104,7 @@ pub struct StealPolicy {
     /// Upper bound on requests migrated per steal operation (clamped to
     /// at least 1).
     pub max_steal: usize,
-    /// Base poll interval of the steal coordinator thread. When a pass
+    /// Base poll interval of the steal schedule. When a pass
     /// moves nothing the interval doubles (capped near 10 ms); any
     /// migrated work resets it.
     pub interval: Duration,
@@ -158,12 +156,11 @@ pub struct FleetConfig {
     /// Cross-shard work stealing; `None` disables it (required for the
     /// deterministic-mode contract — migration timing is load-dependent).
     pub steal: Option<StealPolicy>,
-    /// Health monitoring, quarantine/failover, and probationary recovery;
-    /// `None` (the default) spawns no monitor and leaves the fleet
-    /// behaviorally identical to PR 8 (see `docs/resilience.md`).
+    /// Health checks, quarantine/failover, and probationary recovery;
+    /// `None` (the default) schedules none (see `docs/resilience.md`).
     pub health: Option<HealthPolicy>,
     /// Deterministic chaos schedule. [`FleetFaultPlan::none`] (the
-    /// default) is provably inert: no injector thread, no hot-path cost.
+    /// default) is provably inert: no fault schedule, no hot-path cost.
     pub fault_plan: FleetFaultPlan,
     /// Template for every shard's [`ScoringRuntime`]. When observability
     /// is configured, each shard registers under
@@ -201,15 +198,7 @@ impl FleetConfig {
     /// at any shard count — routing only decides *where* a request is
     /// scored, never its answer.
     pub fn deterministic(shards: usize, config: &AutoExecutorConfig) -> Self {
-        Self {
-            shards,
-            vnodes_per_shard: DEFAULT_VNODES_PER_SHARD,
-            ring_seed: DEFAULT_RING_SEED,
-            steal: None,
-            health: None,
-            fault_plan: FleetFaultPlan::none(),
-            runtime: RuntimeConfig::deterministic(config),
-        }
+        Self::new(shards, RuntimeConfig::deterministic(config)).without_steal()
     }
 
     /// Overrides the vnode count per shard (clamped to at least 1).
@@ -250,12 +239,6 @@ impl FleetConfig {
         self
     }
 
-    /// Replaces the per-shard runtime template.
-    pub fn with_runtime(mut self, runtime: RuntimeConfig) -> Self {
-        self.runtime = runtime;
-        self
-    }
-
     fn sanitized(mut self) -> Self {
         self.shards = self.shards.clamp(1, u16::MAX as usize);
         self.vnodes_per_shard = self.vnodes_per_shard.max(1);
@@ -266,8 +249,7 @@ impl FleetConfig {
     }
 }
 
-/// State shared between the fleet handle and its background threads
-/// (steal coordinator, health monitor, chaos injector).
+/// State shared between the fleet handle and its control thread.
 struct FleetShared {
     shards: Vec<ScoringRuntime>,
     /// The current routing ring: members are exactly the shards whose
@@ -276,7 +258,7 @@ struct FleetShared {
     ring: RwLock<HashRing>,
     ring_seed: u64,
     vnodes_per_shard: usize,
-    /// Per-shard [`HealthState`] words (written only by the monitor).
+    /// Per-shard [`HealthState`] words (written only by the health checks).
     health: Vec<AtomicU8>,
     /// The sanitized health policy, when monitoring is enabled.
     health_policy: Option<HealthPolicy>,
@@ -299,7 +281,7 @@ struct FleetShared {
     /// evacuations); present only when the per-shard template enables
     /// observability.
     events: Option<EventSink>,
-    /// Stops every background thread (steal, monitor, injector).
+    /// Stops the control thread.
     stop_background: AtomicBool,
     /// Set by the first [`ShardedRuntime::shutdown`] caller; failover
     /// stops retrying so shutdown errors propagate unamplified.
@@ -397,7 +379,7 @@ impl MetricSource for FleetSource {
 }
 
 /// Sleeps up to `total`, waking early (within [`STOP_POLL`]) when `stop`
-/// is set — background threads must not pin shutdown to their interval.
+/// is set — the control thread must not pin shutdown to its interval.
 fn sleep_interruptible(stop: &AtomicBool, total: Duration) {
     let deadline = Instant::now() + total;
     loop {
@@ -427,10 +409,9 @@ fn rebalance_once(shared: &FleetShared, policy: &StealPolicy) -> usize {
         .iter()
         .map(|&shard| (shard, shared.shards[shard].queue_depth()))
         .collect();
-    let Some(&(victim, max_depth)) = depths.iter().max_by_key(|&&(_, depth)| depth) else {
-        return 0;
-    };
-    let Some(&(thief, min_depth)) = depths.iter().min_by_key(|&&(_, depth)| depth) else {
+    let deepest = depths.iter().max_by_key(|&&(_, depth)| depth);
+    let shallowest = depths.iter().min_by_key(|&&(_, depth)| depth);
+    let (Some(&(victim, max_depth)), Some(&(thief, min_depth))) = (deepest, shallowest) else {
         return 0;
     };
     if victim == thief || max_depth < policy.min_backlog {
@@ -478,26 +459,7 @@ fn rebalance_once(shared: &FleetShared, policy: &StealPolicy) -> usize {
     count
 }
 
-/// Steal coordinator thread: poll at the policy interval while work
-/// moves, back off exponentially (to ~10 ms) while the fleet is
-/// balanced, reset on the first migrated request.
-fn stealer_loop(shared: Arc<FleetShared>, policy: StealPolicy) {
-    let mut delay = policy.interval;
-    loop {
-        sleep_interruptible(&shared.stop_background, delay);
-        if shared.stop_background.load(Ordering::Acquire) {
-            return;
-        }
-        let moved = rebalance_once(&shared, &policy);
-        delay = if moved > 0 {
-            policy.interval
-        } else {
-            next_backoff(delay, policy.interval)
-        };
-    }
-}
-
-/// Per-shard bookkeeping the health monitor keeps between checks.
+/// Per-shard bookkeeping the health checks keep between checks.
 #[derive(Default)]
 struct ShardBook {
     /// Cumulative counters at the previous check (window deltas).
@@ -513,34 +475,98 @@ struct ShardBook {
     clean_checks: u32,
 }
 
-/// Health monitor thread: one [`check_shard`] per shard per interval.
-fn monitor_loop(shared: Arc<FleetShared>, policy: HealthPolicy) {
-    let mut books: Vec<ShardBook> = shared
-        .shards
-        .iter()
-        .map(|shard| {
-            let stats = shard.stats();
-            ShardBook {
-                completed: stats.completed,
-                errors: stats.errors,
-                ..ShardBook::default()
+/// The fleet's control schedules — steal passes with idle backoff, health
+/// checks, fault-plan actions — run by one thread. [`tick`](Self::tick)
+/// takes `now` as an argument, so a test can step time.
+struct Control {
+    shared: Arc<FleetShared>,
+    /// Steal policy, current delay, next pass.
+    steal: Option<(StealPolicy, Duration, Instant)>,
+    /// Per-shard books (zero: new shards have served nothing) and the
+    /// next check, under a health policy.
+    health: Option<(Vec<ShardBook>, Instant)>,
+    /// Fault applies and clears, sorted; `faults[cursor..]` are still to
+    /// run. Overlapping windows on one shard resolve last-writer-wins.
+    faults: Vec<(Instant, usize, Option<InducedFault>)>,
+    cursor: usize,
+}
+
+impl Control {
+    fn new(shared: Arc<FleetShared>, config: &FleetConfig, start: Instant) -> Self {
+        let steal = config.steal.clone().filter(|_| config.shards > 1);
+        let health = shared.health_policy.as_ref().map(|policy| {
+            let books = shared.shards.iter().map(|_| ShardBook::default());
+            (books.collect(), start + policy.check_interval)
+        });
+        let mut faults: Vec<_> = (config.fault_plan.schedule(config.shards).iter())
+            .flat_map(|e| [(e.at, e.shard, Some(e.fault)), (e.until, e.shard, None)])
+            .map(|(at, shard, fault)| (start + at, shard, fault))
+            .collect();
+        faults.sort_by_key(|&(at, shard, fault)| (at, fault.is_some(), shard));
+        Self {
+            steal: steal.map(|policy| (policy.clone(), policy.interval, start + policy.interval)),
+            health,
+            faults,
+            cursor: 0,
+            shared,
+        }
+    }
+
+    /// Runs whatever is due at `now` and returns the next due instant;
+    /// `None` once nothing is left to schedule.
+    fn tick(&mut self, now: Instant) -> Option<Instant> {
+        if let Some((policy, delay, due)) = &mut self.steal {
+            if now >= *due {
+                *delay = match rebalance_once(&self.shared, policy) {
+                    0 => next_backoff(*delay, policy.interval),
+                    _ => policy.interval,
+                };
+                *due = now + *delay;
             }
-        })
-        .collect();
-    loop {
-        sleep_interruptible(&shared.stop_background, policy.check_interval);
-        if shared.stop_background.load(Ordering::Acquire) {
+        }
+        if let (Some(policy), Some((books, due))) = (&self.shared.health_policy, &mut self.health) {
+            if now >= *due {
+                for (shard, book) in books.iter_mut().enumerate() {
+                    check_shard(&self.shared, policy, shard, book, now);
+                }
+                *due = now + policy.check_interval;
+            }
+        }
+        while let Some(&(at, shard, fault)) = self.faults.get(self.cursor) {
+            if now < at {
+                break;
+            }
+            self.shared.shards[shard].set_induced_fault(fault);
+            self.cursor += 1;
+        }
+        let steal = self.steal.as_ref().map(|&(_, _, due)| due);
+        let health = self.health.as_ref().map(|&(_, due)| due);
+        let fault = self.faults.get(self.cursor).map(|&(at, ..)| at);
+        [steal, health, fault].into_iter().flatten().min()
+    }
+}
+
+/// The control thread: tick, sleep until the next due instant, repeat.
+fn control_loop(mut control: Control, mut now: Instant) {
+    while let Some(due) = control.tick(now) {
+        let stop = &control.shared.stop_background;
+        sleep_interruptible(stop, due.saturating_duration_since(now));
+        if stop.load(Ordering::Acquire) {
             return;
         }
-        for (shard, book) in books.iter_mut().enumerate() {
-            check_shard(&shared, &policy, shard, book);
-        }
+        now = Instant::now();
     }
 }
 
 /// One health check of one shard: advance the window deltas, then drive
 /// the `Healthy → Suspect → Quarantined → Probation` machine.
-fn check_shard(shared: &FleetShared, policy: &HealthPolicy, shard: usize, book: &mut ShardBook) {
+fn check_shard(
+    shared: &FleetShared,
+    policy: &HealthPolicy,
+    shard: usize,
+    book: &mut ShardBook,
+    now: Instant,
+) {
     let stats = shared.shards[shard].stats();
     let window_completed = stats.completed.saturating_sub(book.completed);
     let window_errors = stats.errors.saturating_sub(book.errors);
@@ -580,7 +606,7 @@ fn check_shard(shared: &FleetShared, policy: &HealthPolicy, shard: usize, book: 
                 if state == HealthState::Healthy {
                     shared.set_health(shard, HealthState::Suspect);
                 } else {
-                    quarantine(shared, shard, book);
+                    quarantine(shared, shard, book, now);
                 }
             } else if state == HealthState::Suspect && events > 0 {
                 // A clean window with real traffic clears the suspicion.
@@ -589,7 +615,7 @@ fn check_shard(shared: &FleetShared, policy: &HealthPolicy, shard: usize, book: 
         }
         HealthState::Quarantined => {
             let held_long_enough = match book.quarantined_at {
-                Some(at) => at.elapsed() >= policy.quarantine_hold,
+                Some(at) => now.saturating_duration_since(at) >= policy.quarantine_hold,
                 None => true,
             };
             if held_long_enough {
@@ -605,7 +631,7 @@ fn check_shard(shared: &FleetShared, policy: &HealthPolicy, shard: usize, book: 
             if stats.errors.saturating_sub(base_errors) > 0 {
                 // The trickle failed: back to quarantine (counted again),
                 // and evacuate whatever the trickle queued on it.
-                quarantine(shared, shard, book);
+                quarantine(shared, shard, book, now);
             } else {
                 book.clean_checks += 1;
                 let proven = stats.completed.saturating_sub(base_completed)
@@ -622,7 +648,7 @@ fn check_shard(shared: &FleetShared, policy: &HealthPolicy, shard: usize, book: 
 /// evacuated to survivors, hold timer started. Refuses to remove the
 /// last routable shard — a fleet with nowhere to route keeps serving
 /// (however badly) rather than blackholing everything.
-fn quarantine(shared: &FleetShared, shard: usize, book: &mut ShardBook) {
+fn quarantine(shared: &FleetShared, shard: usize, book: &mut ShardBook, now: Instant) {
     let was_probation = shared.health_state(shard) == HealthState::Probation;
     if !was_probation && shared.routable_shards().len() <= 1 {
         return;
@@ -633,7 +659,7 @@ fn quarantine(shared: &FleetShared, shard: usize, book: &mut ShardBook) {
         shared.rebuild_ring();
     }
     shared.quarantines.fetch_add(1, Ordering::Relaxed);
-    book.quarantined_at = Some(Instant::now());
+    book.quarantined_at = Some(now);
     book.stall_streak = 0;
     book.probation_base = None;
     book.clean_checks = 0;
@@ -707,40 +733,11 @@ fn evacuate(shared: &FleetShared, from: usize) {
     }
 }
 
-/// Chaos injector thread: replays the deterministic fault schedule
-/// against the wall clock, applying each fault at its start offset and
-/// clearing it at its end. Spawned only when the plan is active.
-fn injector_loop(shared: Arc<FleetShared>, schedule: Vec<FaultEvent>) {
-    // Interleave applies and clears into one timeline. Overlapping
-    // windows of *different* kinds on one shard resolve last-writer-wins
-    // (the fault word holds one fault), which the deterministic schedule
-    // makes reproducible.
-    let mut actions: Vec<(Duration, usize, Option<InducedFault>)> = Vec::new();
-    for event in &schedule {
-        actions.push((event.at, event.shard, Some(event.fault)));
-        actions.push((event.until, event.shard, None));
-    }
-    actions.sort_by_key(|&(at, shard, fault)| (at, fault.is_some(), shard));
-    let start = Instant::now();
-    for (at, shard, fault) in actions {
-        loop {
-            if shared.stop_background.load(Ordering::Acquire) {
-                return;
-            }
-            let elapsed = start.elapsed();
-            if elapsed >= at {
-                break;
-            }
-            std::thread::sleep((at - elapsed).min(STOP_POLL));
-        }
-        shared.shards[shard].set_induced_fault(fault);
-    }
-}
-
 /// True for errors a cross-shard retry can plausibly rescue: the failed
 /// shard's model/scoring path is down, or that one shard is shutting
 /// down. Saturation, shedding, and throttling are *policy* outcomes —
-/// retrying them elsewhere would launder QoS decisions.
+/// retrying them elsewhere would launder QoS decisions — and an invalid
+/// request fails the same way on every shard.
 fn retryable(error: &ServeError) -> bool {
     matches!(
         error,
@@ -770,9 +767,8 @@ fn routing_key(request: &ScoreRequest) -> u64 {
 /// [`shutdown`](Self::shutdown) (or drop the handle).
 pub struct ShardedRuntime {
     shared: Arc<FleetShared>,
-    /// Background threads (steal coordinator, health monitor, chaos
-    /// injector), joined once by whichever shutdown call drains them.
-    background: StdMutex<Vec<JoinHandle<()>>>,
+    /// The control thread, joined once by whichever shutdown takes it.
+    control: StdMutex<Option<JoinHandle<()>>>,
 }
 
 impl std::fmt::Debug for ShardedRuntime {
@@ -787,11 +783,8 @@ impl std::fmt::Debug for ShardedRuntime {
 
 impl ShardedRuntime {
     /// Builds the fleet: `config.shards` runtimes over one registry and
-    /// model name, a vnode ring keyed by `config.ring_seed`, and the
-    /// configured background threads — the steal coordinator (unless
-    /// disabled), the health monitor (when a policy is set on a
-    /// multi-shard fleet), and the chaos injector (when the fault plan is
-    /// active).
+    /// model name, a vnode ring keyed by `config.ring_seed`, and a control
+    /// thread if stealing, health checks, or a fault plan are scheduled.
     ///
     /// With observability configured in the per-shard template, shard `i`
     /// registers its metrics under `{prefix}.shard{i}` and the fleet
@@ -815,17 +808,12 @@ impl ShardedRuntime {
             })
             .collect();
         // Health monitoring and failover need somewhere to fail over to.
-        let health_policy = config.health.filter(|_| config.shards > 1);
+        let health_policy = config.health.clone().filter(|_| config.shards > 1);
+        let now = Instant::now();
         let retry_budget = health_policy
             .as_ref()
             .filter(|policy| policy.retry_budget > 0)
-            .map(|policy| {
-                RetryBudget::new(
-                    policy.retry_budget,
-                    policy.retry_refill_per_sec,
-                    Instant::now(),
-                )
-            });
+            .map(|policy| RetryBudget::new(policy.retry_budget, policy.retry_refill_per_sec, now));
         let shared = Arc::new(FleetShared {
             ring: RwLock::new(HashRing::new(
                 config.ring_seed,
@@ -861,38 +849,17 @@ impl ShardedRuntime {
                 shared: Arc::downgrade(&shared),
             }));
         }
-        let mut background = Vec::new();
-        if let Some(policy) = config.steal.filter(|_| config.shards > 1) {
-            let shared = Arc::clone(&shared);
-            background.push(
-                std::thread::Builder::new()
-                    .name("ae-serve-stealer".to_string())
-                    .spawn(move || stealer_loop(shared, policy))
-                    .expect("spawning the fleet steal coordinator"),
-            );
-        }
-        if let Some(policy) = shared.health_policy.clone() {
-            let shared_clone = Arc::clone(&shared);
-            background.push(
-                std::thread::Builder::new()
-                    .name("ae-serve-health".to_string())
-                    .spawn(move || monitor_loop(shared_clone, policy))
-                    .expect("spawning the fleet health monitor"),
-            );
-        }
-        if config.fault_plan.is_active() {
-            let schedule = config.fault_plan.schedule(config.shards);
-            let shared_clone = Arc::clone(&shared);
-            background.push(
-                std::thread::Builder::new()
-                    .name("ae-serve-chaos".to_string())
-                    .spawn(move || injector_loop(shared_clone, schedule))
-                    .expect("spawning the fleet chaos injector"),
-            );
-        }
+        // The control thread runs only when something is scheduled.
+        let mut control = Control::new(Arc::clone(&shared), &config, now);
+        let control = control.tick(now).map(|_| {
+            std::thread::Builder::new()
+                .name("ae-serve-control".to_string())
+                .spawn(move || control_loop(control, now))
+                .expect("spawning the fleet control thread")
+        });
         Self {
             shared,
-            background: StdMutex::new(background),
+            control: StdMutex::new(control),
         }
     }
 
@@ -945,7 +912,7 @@ impl ShardedRuntime {
 
     /// Clears any induced chaos fault on one shard. Service recovers on
     /// the next batch (modulo a still-open breaker cooling down); ring
-    /// re-admission is the health monitor's probation path, not this.
+    /// re-admission is the health checks' probation path, not this.
     pub fn clear_shard_fault(&self, shard: usize) {
         self.shared.shards[shard].set_induced_fault(None);
     }
@@ -1088,13 +1055,6 @@ impl ShardedRuntime {
             .map(|outcome| outcome.request)
     }
 
-    /// [`score`](Self::score) for a caller that already featurized the
-    /// plan.
-    pub fn score_features(&self, features: Vec<f64>) -> Result<ResourceRequest> {
-        self.submit(ScoreRequest::from_features(features))
-            .map(|outcome| outcome.request)
-    }
-
     /// Per-shard queue depths (queued-but-undrained requests).
     pub fn queue_depths(&self) -> Vec<usize> {
         self.shared.shards.iter().map(|s| s.queue_depth()).collect()
@@ -1124,19 +1084,18 @@ impl ShardedRuntime {
         self.shared.events.as_ref()
     }
 
-    /// Stops the fleet: background threads first (so no steal, health
+    /// Stops the fleet: the control thread first (so no steal, health
     /// transition, or injected fault races the drain — an in-progress
     /// evacuation completes before any shard begins draining), then
     /// every shard — in-flight batches finish, queued requests fail with
-    /// [`ServeError::ShutDown`], workers are
-    /// joined. Idempotent and safe to call concurrently (each background
-    /// thread and worker is joined exactly once; stats are not
-    /// double-counted); dropping the handle shuts down too.
+    /// [`ServeError::ShutDown`], workers are joined. Idempotent and safe
+    /// to call concurrently (the control thread and each worker are
+    /// joined exactly once; stats are not double-counted); dropping the
+    /// handle shuts down too.
     pub fn shutdown(&self) {
         self.shared.shutting_down.store(true, Ordering::Release);
         self.shared.stop_background.store(true, Ordering::Release);
-        let handles: Vec<JoinHandle<()>> = lock(&self.background).drain(..).collect();
-        for handle in handles {
+        if let Some(handle) = lock(&self.control).take() {
             let _ = handle.join();
         }
         for shard in &self.shared.shards {
@@ -1228,6 +1187,7 @@ mod tests {
 
     #[test]
     fn retryable_errors_exclude_policy_outcomes() {
+        assert!(!retryable(&ServeError::InvalidRequest("NaN".into())));
         assert!(retryable(&ServeError::Model("down".into())));
         assert!(retryable(&ServeError::Scoring("crash".into())));
         assert!(retryable(&ServeError::ShutDown));
@@ -1236,5 +1196,44 @@ mod tests {
         assert!(!retryable(&ServeError::Throttled(crate::tenant::TenantId(
             7
         ))));
+    }
+
+    #[test]
+    fn control_tick_steps_a_shard_through_quarantine_and_recovery() {
+        let (registry, _, config, rows) = crate::runtime::tests::fixture();
+        // An hour-long check interval and hold keep the fleet's own
+        // control thread asleep; only `control` ticks, at stepped instants.
+        let hour = Duration::from_secs(3600);
+        let policy = HealthPolicy::default()
+            .with_check_interval(hour)
+            .with_error_rate(0.5, 3)
+            .with_quarantine_hold(hour)
+            .with_probation(1, 3, 1);
+        let fleet_config = FleetConfig::deterministic(2, &config).with_health(policy);
+        let fleet = ShardedRuntime::new(registry, "ppm", fleet_config.clone());
+        let t0 = Instant::now();
+        let at = |hours: u32| t0 + hour * hours;
+        let mut control = Control::new(Arc::clone(&fleet.shared), &fleet_config, t0);
+        // Scores one row on shard 1, synchronously; true on success.
+        let feed = |row: &Vec<f64>| {
+            let request = ScoreRequest::from_features(row.clone());
+            fleet.shard(1).submit(request).is_ok()
+        };
+        let mut step = |hours: u32, state: HealthState| {
+            assert_eq!(control.tick(at(hours)), Some(at(hours + 1)));
+            assert_eq!(fleet.health(), vec![HealthState::Healthy, state]);
+        };
+        fleet.induce_shard_fault(1, InducedFault::Crash);
+        assert!(!rows.iter().any(feed));
+        step(1, HealthState::Suspect);
+        assert!(!rows.iter().any(feed));
+        step(2, HealthState::Quarantined);
+        assert_eq!(fleet.ring().num_shards(), 1);
+        fleet.clear_shard_fault(1);
+        step(3, HealthState::Probation);
+        assert!(rows.iter().all(feed));
+        step(4, HealthState::Healthy);
+        let stats = fleet.stats();
+        assert_eq!((stats.quarantines, stats.recoveries), (1, 1));
     }
 }

@@ -13,10 +13,11 @@
 //!   [`ae_ml::matrix::FeatureMatrix`] and pushed through the batched
 //!   forest/selection path
 //!   ([`autoexecutor::scoring::score_feature_batch`]). Draining is
-//!   work-conserving by default: a worker never waits for more requests
-//!   (`batch_window` is zero unless a caller sets it), so batches form
-//!   from the backlog under load. A row of the wrong width fails alone
-//!   with a [`ServeError`]; the rest of its batch is still scored.
+//!   work-conserving: a worker never waits for more requests, so batches
+//!   form from the backlog under load. A row of the wrong width, or with
+//!   a non-finite feature, is rejected with
+//!   [`ServeError::InvalidRequest`] — at submission, or alone in its
+//!   batch while the rest is still scored.
 //! * When the runtime is **idle** the submitting thread scores **inline**
 //!   instead of paying a queue round-trip, so single-query latency never
 //!   regresses relative to the sequential rule.
@@ -26,7 +27,7 @@
 //!   identity, so re-registering a model (RCU-style swap) is picked up by
 //!   the next batch without ever blocking scoring.
 //! * In **deterministic mode** ([`RuntimeConfig::deterministic`]: one
-//!   worker, FIFO drain, no batch window, no inline shortcut) the runtime
+//!   worker, FIFO drain, no inline shortcut) the runtime
 //!   produces bit-identical [`autoexecutor::optimizer::ResourceRequest`]s
 //!   to the sequential `AutoExecutorRule`, because both funnel through the
 //!   same [`autoexecutor::scoring`] entry points. The regression test in
@@ -125,7 +126,7 @@ pub use tenant::{TenantId, TenantPolicy, ThrottleAction};
 /// a batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
-    /// `try_score` / `try_submit` found the admission queue full with
+    /// `try_submit` / `try_submit_detached` found the admission queue full with
     /// nothing sheddable (the request was counted as dropped; the caller
     /// may retry, shed load, or fall back).
     Saturated,
@@ -142,6 +143,9 @@ pub enum ServeError {
     Model(String),
     /// Scoring itself failed (e.g. an empty candidate range).
     Scoring(String),
+    /// The request itself is malformed: its feature row has the wrong
+    /// width or a non-finite value. Never retried on another shard.
+    InvalidRequest(String),
 }
 
 impl std::fmt::Display for ServeError {
@@ -155,6 +159,7 @@ impl std::fmt::Display for ServeError {
             ServeError::ShutDown => write!(f, "scoring runtime is shut down"),
             ServeError::Model(s) => write!(f, "model error: {s}"),
             ServeError::Scoring(s) => write!(f, "scoring error: {s}"),
+            ServeError::InvalidRequest(s) => write!(f, "invalid request: {s}"),
         }
     }
 }

@@ -6,8 +6,9 @@
 //!  client threads                     workers (config.workers)
 //!  ──────────────                     ────────────────────────
 //!  featurize plan                     wait for first request
-//!  tenant token bucket                drain up to max_batch (a set
-//!  (grant / demote / reject)          batch_window tops up first)
+//!  check row (width, finite)          drain min(queued, max_batch)
+//!  tenant token bucket (grant /
+//!  demote / reject)
 //!  idle? → score inline ─────┐        WRR across levels, EDF within level
 //!  else: per-level EDF queue ┼──────▶ lay rows out in one FeatureMatrix
 //!  (full? shed BestEffort)   │        score_feature_batch → fulfill each
@@ -156,10 +157,9 @@ pub struct ScoreOutcome {
 
 impl ScoreOutcome {
     /// The price of this query's promise at the served level, derived on
-    /// demand from the predicted curve (the plain `score`/`try_score`
-    /// path never pays for pricing it discards). `None` only when the
-    /// predicted curve is empty (never for a successfully scored request
-    /// in practice).
+    /// demand from the predicted curve (the plain `score` path never pays
+    /// for pricing it discards). `None` only when the predicted curve is
+    /// empty (never for a successfully scored request in practice).
     pub fn quote(&self) -> Option<PriceQuote> {
         qos::price_quote_parts(
             &self.request.predicted_curve,
@@ -297,8 +297,8 @@ struct Shared {
     /// The per-level EDF admission queues (WRR-drained; see
     /// [`crate::qos::PriorityQueues`]).
     queues: StdMutex<PriorityQueues>,
-    /// Signalled when a request is enqueued (workers and batch top-up wait
-    /// on it) and on shutdown.
+    /// Signalled when a request is enqueued (idle workers wait on it) and
+    /// on shutdown.
     not_empty: Condvar,
     /// Signalled when a batch is drained (blocked submitters wait on it)
     /// and on shutdown.
@@ -397,17 +397,25 @@ impl Shared {
         Ok(decoded)
     }
 
-    /// Rejects a feature vector whose width is not the full feature width
-    /// every model consumes (feature sets project from the full vector).
-    /// Submission checks it up front so a malformed request fails fast;
-    /// the scoring paths check it again, so a row that reaches a worker
-    /// some other way fails alone instead of panicking the worker.
-    fn check_width(&self, features: &[f64]) -> Result<()> {
+    /// Rejects a feature row that is not the full feature width every
+    /// model consumes (feature sets project from the full vector) or that
+    /// holds a non-finite value, which would be scored and priced as a
+    /// confident answer. Submission checks it up front so a malformed
+    /// request fails fast; the scoring paths check it again, so a row that
+    /// reaches a worker some other way fails alone instead of panicking
+    /// the worker.
+    fn check_row(&self, features: &[f64]) -> Result<()> {
         if features.len() != self.feature_width {
-            return Err(ServeError::Scoring(format!(
+            return Err(ServeError::InvalidRequest(format!(
                 "feature vector has {} columns, the model expects {}",
                 features.len(),
                 self.feature_width
+            )));
+        }
+        if let Some(column) = features.iter().position(|x| !x.is_finite()) {
+            return Err(ServeError::InvalidRequest(format!(
+                "feature {column} is {}",
+                features[column]
             )));
         }
         Ok(())
@@ -430,7 +438,7 @@ impl Shared {
 
     /// The heuristic fallback for one request (degraded mode).
     fn fallback_one(&self, features: &[f64]) -> Result<ResourceRequest> {
-        self.check_width(features)?;
+        self.check_row(features)?;
         heuristic_request(
             features,
             self.config.objective,
@@ -521,8 +529,8 @@ impl Shared {
 
     /// The raw model path for a multi-request batch: resolve once, lay the
     /// well-formed rows out in `matrix`, run the batched kernel. The outer
-    /// error is a batch-wide model failure; a row of the wrong width fails
-    /// alone (its own inner error) and the other rows are still scored.
+    /// error is a batch-wide model failure; a malformed row fails alone
+    /// (its own inner error) and the other rows are still scored.
     fn model_score_batch(
         &self,
         matrix: &mut FeatureMatrix,
@@ -530,10 +538,10 @@ impl Shared {
     ) -> Result<Vec<Result<ResourceRequest>>> {
         let model = self.resolve_model()?;
         matrix.clear();
-        // `matrix` is `feature_width` wide, so `push_row` is the width check.
         let rows: Vec<Result<()>> = batch
             .iter()
             .map(|request| {
+                self.check_row(&request.features)?;
                 matrix
                     .push_row(&request.features)
                     .map_err(|e| ServeError::Scoring(e.to_string()))
@@ -620,7 +628,7 @@ impl Shared {
             // fails alone and never counts toward tripping it.
             let features = &batch[0].features;
             let result = self
-                .check_width(features)
+                .check_row(features)
                 .and_then(|()| self.score_one(features));
             self.stats.record_batch(1, usize::from(result.is_err()));
             match result {
@@ -719,9 +727,10 @@ impl MetricSource for StatsSource {
     }
 }
 
-/// Worker loop: wait for work, top the batch up within the window (when
-/// one is set), drain by WRR-across-levels / EDF-within-level, score,
-/// repeat.
+/// Worker loop: wait for work, drain up to `max_batch` of whatever is
+/// queued (WRR across levels, EDF within a level), score, repeat. The
+/// worker never waits for more requests once one is queued, so batches
+/// form from the backlog under load.
 fn worker_loop(shared: Arc<Shared>) {
     let mut matrix = FeatureMatrix::with_capacity(shared.feature_width, shared.config.max_batch);
     loop {
@@ -739,27 +748,6 @@ fn worker_loop(shared: Arc<Shared>) {
                     .not_empty
                     .wait(queues)
                     .unwrap_or_else(|poison| poison.into_inner());
-            }
-            // Top the batch up: wait at most `batch_window` for more
-            // requests, but never past `max_batch`.
-            // A batch can only grow to whichever bound is tighter: the
-            // batch size, or the queue capacity (a full queue cannot
-            // receive the requests the window would wait for).
-            let window = shared.config.batch_window;
-            let fill_target = shared.config.max_batch.min(shared.config.queue_capacity);
-            if !window.is_zero() && queues.len() < fill_target {
-                let deadline = Instant::now() + window;
-                while queues.len() < fill_target && !shared.shutdown.load(Ordering::Acquire) {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    let (guard, _timeout) = shared
-                        .not_empty
-                        .wait_timeout(queues, deadline - now)
-                        .unwrap_or_else(|poison| poison.into_inner());
-                    queues = guard;
-                }
             }
             let take = queues.len().min(shared.config.max_batch);
             let batch = queues.pop_batch(take);
@@ -785,8 +773,8 @@ fn worker_loop(shared: Arc<Shared>) {
 /// A shared, concurrent, micro-batching, QoS-aware scoring service over one
 /// registered model. See the crate docs for the architecture; construct
 /// with [`ScoringRuntime::new`], score from any thread with
-/// [`score`](Self::score) / [`try_score`](Self::try_score) (plain) or
-/// [`submit`](Self::submit) / [`try_submit`](Self::try_submit) (full QoS
+/// [`score`](Self::score) (plain) or [`submit`](Self::submit) /
+/// [`try_submit`](Self::try_submit) and their detached forms (full QoS
 /// envelope), inspect with [`stats`](Self::stats), and stop with
 /// [`shutdown`](Self::shutdown) (or drop the handle).
 pub struct ScoringRuntime {
@@ -872,31 +860,12 @@ impl ScoringRuntime {
             .map(|outcome| outcome.request)
     }
 
-    /// Scores a plan at [`ServiceLevel::Standard`], failing fast with
-    /// [`ServeError::Saturated`] (and counting the request as dropped)
-    /// instead of blocking on a full queue.
-    pub fn try_score(&self, plan: &QueryPlan) -> Result<ResourceRequest> {
-        self.try_submit(ScoreRequest::from_plan(plan))
-            .map(|outcome| outcome.request)
-    }
-
-    /// [`score`](Self::score) for a caller that already featurized the plan.
-    pub fn score_features(&self, features: Vec<f64>) -> Result<ResourceRequest> {
-        self.submit(ScoreRequest::from_features(features))
-            .map(|outcome| outcome.request)
-    }
-
-    /// [`try_score`](Self::try_score) for a caller that already featurized
-    /// the plan.
-    pub fn try_score_features(&self, features: Vec<f64>) -> Result<ResourceRequest> {
-        self.try_submit(ScoreRequest::from_features(features))
-            .map(|outcome| outcome.request)
-    }
-
-    /// Tenant admission + deadline stamping: applies the fairness policy
-    /// (which may demote the level or reject outright) and resolves the
-    /// absolute deadline. Returns the queued-request envelope.
-    fn admit(&self, request: &ScoreRequest, now: Instant) -> Result<(ServiceLevel, Instant)> {
+    /// The admit step shared by every submission: row check, tenant
+    /// admission (the fairness policy may demote the level or reject
+    /// outright), and the absolute deadline.
+    fn admit(&self, request: &ScoreRequest) -> Result<(ServiceLevel, Instant)> {
+        self.shared.check_row(&request.features)?;
+        let now = Instant::now();
         let mut level = request.level;
         if let (Some(governor), Some(tenant)) = (&self.shared.governor, request.tenant) {
             match governor.admit(tenant, now) {
@@ -924,49 +893,53 @@ impl ScoringRuntime {
         Ok((level, now + budget))
     }
 
+    /// A synchronous submission: admit, then score inline when a slot is
+    /// free, else queue (waiting for room when `blocking`) and wait.
+    fn call(&self, request: ScoreRequest, blocking: bool) -> Result<ScoreOutcome> {
+        let (level, deadline) = self.admit(&request)?;
+        if self.try_claim_inline() {
+            return self.score_inline_claimed(request.features, level, deadline);
+        }
+        let scored = self
+            .queue(request.features, level, deadline, blocking)?
+            .wait()?;
+        Ok(make_outcome(&self.shared, scored, level))
+    }
+
+    /// A detached submission: admit, queue, and hand back the ticket.
+    /// Never takes the inline shortcut — the point is to keep the
+    /// submitting thread free.
+    fn detach(&self, request: ScoreRequest, blocking: bool) -> Result<ScoreTicket> {
+        let (level, deadline) = self.admit(&request)?;
+        let done = self.queue(request.features, level, deadline, blocking)?;
+        Ok(ScoreTicket {
+            shared: Arc::clone(&self.shared),
+            done,
+            level,
+        })
+    }
+
     /// Scores with a full QoS envelope, blocking while the admission queue
     /// is full (backpressure; a non-`BestEffort` request sheds the
     /// least-urgent queued `BestEffort` request beyond the protected floor
     /// instead of waiting, if one exists) and until the result is ready.
     pub fn submit(&self, request: ScoreRequest) -> Result<ScoreOutcome> {
-        self.shared.check_width(&request.features)?;
-        let (level, deadline) = self.admit(&request, Instant::now())?;
-        if self.try_claim_inline() {
-            return self.score_inline_claimed(request.features, level, deadline);
-        }
-        let done = self.admit_to_queues(request.features, level, deadline, true)?;
-        let scored = done.wait()?;
-        Ok(make_outcome(&self.shared, scored, level))
+        self.call(request, true)
     }
 
     /// [`submit`](Self::submit) without backpressure: fails fast with
     /// [`ServeError::Saturated`] (counting the request as dropped) when the
     /// queue is full and shedding cannot make room.
     pub fn try_submit(&self, request: ScoreRequest) -> Result<ScoreOutcome> {
-        self.shared.check_width(&request.features)?;
-        let (level, deadline) = self.admit(&request, Instant::now())?;
-        if self.try_claim_inline() {
-            return self.score_inline_claimed(request.features, level, deadline);
-        }
-        let done = self.admit_to_queues(request.features, level, deadline, false)?;
-        let scored = done.wait()?;
-        Ok(make_outcome(&self.shared, scored, level))
+        self.call(request, false)
     }
 
     /// Fire-and-forget [`submit`](Self::submit): admits the request (with
     /// backpressure) and returns a [`ScoreTicket`] to redeem later, instead
     /// of blocking until the result is ready. Detached submissions always
-    /// go through the queues (never the inline shortcut) — the point is to
-    /// keep the submitting thread free.
+    /// go through the queues (never the inline shortcut).
     pub fn submit_detached(&self, request: ScoreRequest) -> Result<ScoreTicket> {
-        self.shared.check_width(&request.features)?;
-        let (level, deadline) = self.admit(&request, Instant::now())?;
-        let done = self.admit_to_queues(request.features, level, deadline, true)?;
-        Ok(ScoreTicket {
-            shared: Arc::clone(&self.shared),
-            done,
-            level,
-        })
+        self.detach(request, true)
     }
 
     /// Fire-and-forget [`try_submit`](Self::try_submit): like
@@ -975,21 +948,14 @@ impl ScoringRuntime {
     /// what an open-loop load generator uses: arrivals keep their schedule
     /// and overload turns into sheds/drops rather than client-side queueing.
     pub fn try_submit_detached(&self, request: ScoreRequest) -> Result<ScoreTicket> {
-        self.shared.check_width(&request.features)?;
-        let (level, deadline) = self.admit(&request, Instant::now())?;
-        let done = self.admit_to_queues(request.features, level, deadline, false)?;
-        Ok(ScoreTicket {
-            shared: Arc::clone(&self.shared),
-            done,
-            level,
-        })
+        self.detach(request, false)
     }
 
-    /// The shared queue-admission path: waits for room (`blocking`) or
-    /// fails fast, shedding the least-urgent `BestEffort` request to make
-    /// room for a higher level when the queue is full. The shed victim is
-    /// failed outside the queue lock.
-    fn admit_to_queues(
+    /// The queue step shared by every queued submission: waits for room
+    /// (`blocking`) or fails fast, shedding the least-urgent `BestEffort`
+    /// request to make room for a higher level when the queue is full. The
+    /// shed victim is failed outside the queue lock.
+    fn queue(
         &self,
         features: Vec<f64>,
         level: ServiceLevel,
@@ -1069,9 +1035,10 @@ impl ScoringRuntime {
         victim.done.fulfill(Err(ServeError::Shed));
     }
 
-    /// Attempts to claim an inline-scoring slot: succeeds only when the
-    /// shortcut is enabled, workers exist to drain the queue otherwise, and
-    /// fewer than `inline_max_in_flight` requests are in flight anywhere.
+    /// Attempts to claim an inline-scoring slot: succeeds only when workers
+    /// exist to drain the queue otherwise and fewer than
+    /// `inline_max_in_flight` requests (`0` disables the shortcut) are in
+    /// flight anywhere.
     /// Lightly loaded traffic is judged on the *in-flight* count, not on
     /// "queue empty" — under concurrent submission the queue stays empty
     /// exactly because everyone would take the shortcut. Load beyond the
@@ -1079,10 +1046,7 @@ impl ScoringRuntime {
     /// On success the caller holds one in-flight slot and must score and
     /// release via [`score_inline_claimed`](Self::score_inline_claimed).
     fn try_claim_inline(&self) -> bool {
-        if !self.shared.config.inline_when_idle
-            || self.worker_count == 0
-            || self.shared.shutdown.load(Ordering::Acquire)
-        {
+        if self.worker_count == 0 || self.shared.shutdown.load(Ordering::Acquire) {
             return false;
         }
         let limit = self.shared.config.inline_max_in_flight;
@@ -1318,14 +1282,14 @@ impl Drop for ScoringRuntime {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use ae_workload::{ScaleFactor, WorkloadGenerator};
     use autoexecutor::config::AutoExecutorConfig;
     use autoexecutor::training::train_from_workload;
 
     /// A small registered model plus full-width feature rows to score.
-    fn fixture() -> (
+    pub(crate) fn fixture() -> (
         Arc<ModelRegistry>,
         ParameterModel,
         AutoExecutorConfig,
@@ -1384,36 +1348,45 @@ mod tests {
             .expect("the ticket resolves (the worker is alive)")
     }
 
+    /// The served request matches the sequential rule bit for bit.
+    fn assert_matches_rule(
+        served: &ResourceRequest,
+        model: &ParameterModel,
+        config: &AutoExecutorConfig,
+        row: &[f64],
+    ) {
+        let counts = config.candidate_counts();
+        let expected = scoring::score_features(model, row, config.objective, &counts)
+            .unwrap()
+            .request;
+        assert_eq!(served.executors, expected.executors);
+        let bits = |curve: &[(usize, f64)]| -> Vec<(usize, u64)> {
+            curve.iter().map(|&(n, t)| (n, t.to_bits())).collect()
+        };
+        assert_eq!(
+            bits(&served.predicted_curve),
+            bits(&expected.predicted_curve)
+        );
+    }
+
     /// Waits for every ticket, checking the malformed ones (indices 1 and
-    /// 3) failed with a scoring error and the good ones match the
-    /// sequential rule bit for bit.
+    /// 3) were rejected as invalid and the good ones match the sequential
+    /// rule bit for bit.
     fn assert_bad_rows_failed_alone(
         done: &[Arc<Completion>],
         model: &ParameterModel,
         config: &AutoExecutorConfig,
         rows: &[Vec<f64>],
     ) {
-        let counts = config.candidate_counts();
         let good = [(0, &rows[0]), (2, &rows[1]), (4, &rows[2])];
         for (slot, row) in good {
             let served = redeem(&done[slot]).expect("a good row is scored").request;
-            let expected = scoring::score_features(model, row, config.objective, &counts)
-                .unwrap()
-                .request;
-            assert_eq!(served.executors, expected.executors, "row {slot}");
-            let bits = |curve: &[(usize, f64)]| -> Vec<(usize, u64)> {
-                curve.iter().map(|&(n, t)| (n, t.to_bits())).collect()
-            };
-            assert_eq!(
-                bits(&served.predicted_curve),
-                bits(&expected.predicted_curve),
-                "row {slot}"
-            );
+            assert_matches_rule(&served, model, config, row);
         }
         for slot in [1, 3] {
             assert!(
-                matches!(redeem(&done[slot]), Err(ServeError::Scoring(_))),
-                "malformed row {slot} must fail with a scoring error"
+                matches!(redeem(&done[slot]), Err(ServeError::InvalidRequest(_))),
+                "malformed row {slot} must be rejected as invalid"
             );
         }
     }
@@ -1457,9 +1430,15 @@ mod tests {
         let lone = queued(vec![0.0; 3]);
         let lone_done = Arc::clone(&lone.done);
         assert!(runtime.inject_backlog(vec![lone]).is_empty());
-        assert!(matches!(redeem(&lone_done), Err(ServeError::Scoring(_))));
+        assert!(matches!(
+            redeem(&lone_done),
+            Err(ServeError::InvalidRequest(_))
+        ));
         // The worker is still alive and serving.
-        let after = runtime.score_features(rows[0].clone()).unwrap();
+        let after = runtime
+            .submit(ScoreRequest::from_features(rows[0].clone()))
+            .unwrap()
+            .request;
         let expected = scoring::score_features(
             &model,
             &rows[0],
@@ -1472,5 +1451,32 @@ mod tests {
         let stats = runtime.stats();
         assert_eq!(stats.completed, 4);
         assert_eq!(stats.errors, 3);
+    }
+
+    #[test]
+    fn a_backlog_drains_in_max_batch_chunks() {
+        let (registry, model, config, rows) = fixture();
+        let runtime = ScoringRuntime::new(
+            registry,
+            "ppm",
+            RuntimeConfig::deterministic(&config).with_max_batch(8),
+        );
+        runtime.warm().unwrap();
+        // One lock holds all 12 pushes, so the idle worker wakes to the
+        // whole backlog: one batch of 8, then one of 4.
+        let backlog: Vec<QueuedRequest> = (0..12).map(|i| queued(rows[i % 3].clone())).collect();
+        let done: Vec<Arc<Completion>> = backlog.iter().map(|q| Arc::clone(&q.done)).collect();
+        assert!(runtime.inject_backlog(backlog).is_empty());
+        for (i, slot) in done.iter().enumerate() {
+            let served = redeem(slot).expect("a good row is scored").request;
+            assert_matches_rule(&served, &model, &config, &rows[i % 3]);
+        }
+        let stats = runtime.stats();
+        assert_eq!(stats.batches, 2);
+        let mut histogram = vec![0; 8];
+        histogram[3] = 1;
+        histogram[7] = 1;
+        assert_eq!(stats.batch_size_histogram, histogram);
+        assert_eq!(stats.completed, 12);
     }
 }

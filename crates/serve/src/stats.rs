@@ -194,7 +194,8 @@ pub struct RuntimeStats {
     pub inline_scored: u64,
     /// Worker batches processed.
     pub batches: u64,
-    /// Requests rejected by `try_score` because the queue was full.
+    /// Requests rejected by `try_submit` / `try_submit_detached` because
+    /// the queue was full.
     pub dropped: u64,
     /// Requests that completed with an error.
     pub errors: u64,

@@ -11,15 +11,18 @@
 //!   re-admits the shard once the fault clears,
 //! * quarantine evacuation moves `Standard` backlog to survivors but
 //!   **never** `Interactive`,
+//! * a malformed row is rejected as `InvalidRequest` and never failed
+//!   over to another shard,
 //! * shutdown is idempotent and safe concurrently with quarantine and
 //!   evacuation: every ticket resolves, nothing double-counted.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use ae_obs::{EventKind, MetricsRegistry};
 use ae_serve::{
-    FleetConfig, FleetFaultPlan, HealthPolicy, HealthState, InducedFault, RuntimeConfig,
-    ScoreRequest, ScoreTicket, ServiceLevel, ShardedRuntime, TenantId,
+    FleetConfig, FleetFaultPlan, HealthPolicy, HealthState, InducedFault, ObsConfig, RuntimeConfig,
+    ScoreRequest, ScoreTicket, ServeError, ServiceLevel, ShardedRuntime, TenantId,
 };
 use ae_workload::{QueryInstance, ScaleFactor, WorkloadGenerator};
 use autoexecutor::prelude::*;
@@ -53,8 +56,7 @@ fn shard_runtime(config: &AutoExecutorConfig) -> RuntimeConfig {
     RuntimeConfig::from_auto_executor(config)
         .with_workers(1)
         .with_max_batch(4)
-        .with_batch_window(Duration::ZERO)
-        .with_inline_when_idle(false)
+        .with_inline_max_in_flight(0)
         .with_queue_capacity(4096)
 }
 
@@ -362,6 +364,48 @@ fn crash_quarantine_failover_and_probationary_recovery() {
         "no client-visible errors, so shard errors are exactly the \
          rescued attempts"
     );
+    fleet.shutdown();
+}
+
+/// A malformed row is the caller's fault, not the shard's: it is rejected
+/// up front as [`ServeError::InvalidRequest`] and never re-sent to
+/// another shard, so it spends no retry and breaks no accounting identity.
+#[test]
+fn malformed_rows_are_rejected_without_failover() {
+    let (registry, config, features) = fixture();
+    let metrics = Arc::new(MetricsRegistry::new());
+    let fleet = ShardedRuntime::new(
+        registry,
+        "ppm",
+        FleetConfig::new(
+            2,
+            shard_runtime(&config).with_observability(ObsConfig::new(metrics)),
+        )
+        .without_steal()
+        .with_health(HealthPolicy::default()),
+    );
+    let mut nan = features.clone();
+    nan[0] = f64::NAN;
+    let bad = [vec![1.0; 3], vec![], nan, vec![0.0; features.len() + 1]];
+    for (i, row) in bad.into_iter().cycle().take(5).enumerate() {
+        let request = ScoreRequest::from_features(row).with_tenant(TenantId(i as u64));
+        assert!(matches!(
+            fleet.submit(request),
+            Err(ServeError::InvalidRequest(_))
+        ));
+    }
+    let stats = fleet.stats();
+    assert_eq!(stats.failover_retries, 0);
+    assert_eq!(stats.retries_denied, 0);
+    assert_eq!(
+        stats.aggregate().errors,
+        0,
+        "rejected before any shard scored it"
+    );
+    let events = fleet.events().expect("observability is on").snapshot();
+    assert!(!events
+        .iter()
+        .any(|event| matches!(event.kind, EventKind::FailoverRetry { .. })));
     fleet.shutdown();
 }
 

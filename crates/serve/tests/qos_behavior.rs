@@ -196,7 +196,7 @@ fn flooding_tenant_cannot_starve_a_light_tenant() {
         RuntimeConfig::from_auto_executor(&config)
             .with_workers(1)
             .with_queue_capacity(2)
-            .with_inline_when_idle(false)
+            .with_inline_max_in_flight(0)
             .with_qos(qos),
     ));
     runtime.warm().unwrap();

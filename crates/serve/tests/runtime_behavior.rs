@@ -1,11 +1,11 @@
 //! Behavioural tests of the serving runtime: the inline idle shortcut,
-//! backpressure and saturation, shutdown semantics, missing models, and
-//! RCU-style pickup of model re-registration.
+//! backpressure and saturation, malformed-row rejection, shutdown
+//! semantics, missing models, and RCU-style pickup of model
+//! re-registration.
 
 use std::sync::Arc;
-use std::time::Duration;
 
-use ae_serve::{RuntimeConfig, ScoringRuntime, ServeError};
+use ae_serve::{RuntimeConfig, ScoreRequest, ScoringRuntime, ServeError};
 use ae_workload::{QueryInstance, ScaleFactor, WorkloadGenerator};
 use autoexecutor::prelude::*;
 use autoexecutor::ModelRegistry;
@@ -90,7 +90,7 @@ fn saturation_rejects_and_counts_dropped_requests() {
         std::thread::yield_now();
     }
     assert!(matches!(
-        runtime.try_score(&queries[1].plan),
+        runtime.try_submit(ScoreRequest::from_plan(&queries[1].plan)),
         Err(ServeError::Saturated)
     ));
     assert_eq!(runtime.stats().dropped, 1);
@@ -107,16 +107,23 @@ fn saturation_rejects_and_counts_dropped_requests() {
 fn malformed_feature_width_is_rejected_up_front() {
     let (registry, config, queries) = fixture(6);
     let runtime = ScoringRuntime::new(registry, "ppm", RuntimeConfig::deterministic(&config));
-    // Wrong-width rows must be rejected at submission (both entry points),
-    // not panic inside a worker batch.
-    for bad in [vec![], vec![1.0; 3]] {
+    // Wrong-width rows, and full-width rows holding a NaN or an infinity,
+    // must be rejected at submission (both entry points), not scored,
+    // priced, or panic inside a worker batch.
+    let good = autoexecutor::featurize_plan(&queries[0].plan);
+    let non_finite = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY].map(|value| {
+        let mut row = good.clone();
+        row[0] = value;
+        row
+    });
+    for bad in [vec![], vec![1.0; 3]].into_iter().chain(non_finite) {
         assert!(matches!(
-            runtime.score_features(bad.clone()),
-            Err(ServeError::Scoring(_))
+            runtime.submit(ScoreRequest::from_features(bad.clone())),
+            Err(ServeError::InvalidRequest(_))
         ));
         assert!(matches!(
-            runtime.try_score_features(bad),
-            Err(ServeError::Scoring(_))
+            runtime.try_submit(ScoreRequest::from_features(bad)),
+            Err(ServeError::InvalidRequest(_))
         ));
     }
     // The runtime stays fully operational afterwards.
@@ -159,46 +166,5 @@ fn reregistration_is_picked_up_without_restart() {
         before.predicted_ppm.parameters(),
         after.predicted_ppm.parameters(),
         "a different forest must predict different parameters"
-    );
-}
-
-#[test]
-fn batch_window_forms_batches_under_load() {
-    let (registry, config, queries) = fixture(5);
-    let runtime = Arc::new(ScoringRuntime::new(
-        registry,
-        "ppm",
-        RuntimeConfig::from_auto_executor(&config)
-            .with_workers(1)
-            .with_max_batch(16)
-            .with_batch_window(Duration::from_millis(2))
-            .with_inline_when_idle(false),
-    ));
-    runtime.warm().unwrap();
-    let handles: Vec<_> = (0..6)
-        .map(|t| {
-            let runtime = Arc::clone(&runtime);
-            let plan = queries[t % queries.len()].plan.clone();
-            std::thread::spawn(move || {
-                let mut served = 0usize;
-                for _ in 0..10 {
-                    runtime.score(&plan).unwrap();
-                    served += 1;
-                }
-                served
-            })
-        })
-        .collect();
-    let total: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
-    assert_eq!(total, 60);
-    let stats = runtime.stats();
-    assert_eq!(stats.completed, 60);
-    assert_eq!(stats.errors, 0);
-    // With 6 competing submitters and a batch window, at least one batch
-    // must have scored more than one request.
-    assert!(
-        stats.mean_batch_size() > 1.0,
-        "expected micro-batching, histogram {:?}",
-        stats.batch_size_histogram
     );
 }

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # CI gate for the AutoExecutor workspace.
 #
-# Runs the tier-1 verification (release build + tests), lint/format gates
+# Runs the tier-1 verification (release build + tests), a release build of
+# the perfbench benchmark package (its own workspace, so it breaks CI when
+# it still uses a removed ae-serve API), lint/format gates
 # over every workspace crate (including ae-serve), a rustdoc gate (no-deps
 # docs must build with zero warnings), a quick criterion smoke over the two
 # benches most sensitive to scheduler/training regressions, a serving smoke
@@ -34,6 +36,9 @@ cd "$(dirname "$0")/.."
 
 echo "==> cargo build --release"
 cargo build --release --offline
+
+echo "==> perfbench build (a separate workspace: plain cargo build skips it)"
+CARGO_TARGET_DIR=.bench_build cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo test -q"
 cargo test -q --offline
