@@ -38,10 +38,11 @@
 //! (0.1/executor-min) at least 99% of runs complete via retry, and the
 //! breaker demonstrably trips to the fallback and recovers.
 
-use std::io::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
 
+use ae_bench::cli::Args;
+use ae_bench::report;
 use ae_engine::allocation::AllocationPolicy;
 use ae_engine::scheduler::{RunConfig, SimScratch, Simulator};
 use ae_engine::FaultPlan;
@@ -64,30 +65,6 @@ const RECOVERY_ESTIMATE_SECS: f64 = 5.0;
 /// Grace window between revocation notice and executor death (the spot
 /// two-minute warning, scaled to simulation seconds).
 const GRACE_SECS: f64 = 2.0;
-
-struct Args {
-    smoke: bool,
-    json: Option<String>,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        smoke: false,
-        json: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => args.smoke = true,
-            "--json" => args.json = it.next(),
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-    args
-}
 
 /// One (rate, query) cell of the sweep.
 struct Cell {
@@ -402,10 +379,7 @@ fn write_json(
     summaries: &[RateSummary],
     drill: &BreakerDrill,
 ) {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(
-        "  \"comment\": \"Fault-tolerance benchmark: spot preemptions injected at swept \
+    let comment = "Fault-tolerance benchmark: spot preemptions injected at swept \
          rates (per executor-minute) into the deterministic scheduler; lost tasks re-enter \
          the ready queue (retry), replacements re-acquire through the allocation lag. \
          'completion_rate' counts runs finishing via retry; 'retry_overhead' is faulty/clean \
@@ -414,12 +388,8 @@ fn write_json(
          means selecting on the risk-adjusted curve ran faster under faults. The breaker \
          drill serves against a missing model: requests must complete degraded via the \
          heuristic fallback, then recover after registration. Regenerate with: cargo run \
-         --release -p ae-bench --bin bench_faults -- --json BENCH_faults.json\",\n",
-    );
-    out.push_str(&format!(
-        "  \"host\": \"{}-core container (rustc 1.95, release profile)\",\n",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    ));
+         --release -p ae-bench --bin bench_faults -- --json BENCH_faults.json";
+    let mut out = String::new();
     out.push_str(&format!("  \"zero_fault_pin_bit_identical\": {pin_ok},\n"));
     out.push_str(&format!(
         "  \"grace_secs\": {GRACE_SECS}, \"recovery_estimate_secs\": {RECOVERY_ESTIMATE_SECS}, \
@@ -483,14 +453,11 @@ fn write_json(
         drill.trips,
         drill.recovered_non_degraded,
     ));
-    out.push_str("}\n");
-    let mut file = std::fs::File::create(path).expect("create json output");
-    file.write_all(out.as_bytes()).expect("write json output");
-    println!("wrote {path}");
+    report::write(path, comment, &out);
 }
 
 fn main() {
-    let args = parse_args();
+    let args = Args::from_env(&[]);
     let generator = WorkloadGenerator::new(ScaleFactor::SF10);
     let mut config = AutoExecutorConfig::default();
     config.forest.n_estimators = if args.smoke { 8 } else { 16 };
@@ -591,13 +558,7 @@ fn main() {
         if !drill.recovered_non_degraded {
             failures.push("the breaker did not recover the model path".to_string());
         }
-        if failures.is_empty() {
-            println!("\nSMOKE OK");
-        } else {
-            for f in &failures {
-                eprintln!("SMOKE FAIL: {f}");
-            }
-            std::process::exit(1);
-        }
+        report::gate("faults", &failures);
+        println!("\nfaults smoke OK (zero-fault pin, >= 99% completion via retry, breaker trips and recovers)");
     }
 }

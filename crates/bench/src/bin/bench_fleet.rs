@@ -28,73 +28,32 @@
 //! cargo run --release -p ae-bench --bin bench_fleet               # full run
 //! cargo run --release -p ae-bench --bin bench_fleet -- --smoke    # CI gate
 //! cargo run --release -p ae-bench --bin bench_fleet -- --json BENCH_fleet.json
-//! cargo run --release -p ae-bench --bin bench_fleet -- --shards 1,2,4,8
 //! ```
 //!
-//! `--smoke` shortens the run and exits non-zero unless the 4-shard
+//! `--smoke` shortens the run (20 000 to 2 000 requests, a 1 500- rather
+//! than 6 000-request drill) and exits non-zero unless the 4-shard
 //! aggregate qps is at least 2x the single-shard qps, every per-shard p99
 //! skew is finite, and no requests were dropped or errored.
 
-use std::io::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use ae_bench::cli::Args;
+use ae_bench::fixture::{fixture, Fixture};
+use ae_bench::report;
 use ae_obs::{Ladder, LatencyStats, ShardedHistogram};
 use ae_serve::{
     FleetConfig, RuntimeConfig, ScoreRequest, ServiceLevel, ShardedRuntime, StealPolicy, TenantId,
 };
-use ae_workload::{FamilyRegistry, QueryInstance, ScaleFactor, WorkloadGenerator};
+use ae_workload::{ScaleFactor, WorkloadGenerator};
 use autoexecutor::prelude::*;
 use autoexecutor::ModelRegistry;
 
-struct Args {
-    smoke: bool,
-    shards: Vec<usize>,
-    requests: usize,
-    tenants: usize,
-    json: Option<String>,
-}
+/// Fleet sizes measured.
+const SHARDS: [usize; 4] = [1, 2, 4, 8];
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        smoke: false,
-        shards: vec![1, 2, 4, 8],
-        requests: 20_000,
-        tenants: 256,
-        json: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => args.smoke = true,
-            "--shards" => {
-                let list = it.next().expect("--shards needs a comma-separated list");
-                args.shards = list
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("--shards needs numbers"))
-                    .collect();
-            }
-            "--requests" => {
-                args.requests = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--requests needs a number");
-            }
-            "--tenants" => {
-                args.tenants = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--tenants needs a number");
-            }
-            "--json" => args.json = it.next(),
-            other => panic!("unknown argument: {other}"),
-        }
-    }
-    if args.smoke {
-        args.requests = args.requests.min(2_000);
-    }
-    args
-}
+/// Tenants in the tagged stream.
+const TENANTS: usize = 256;
 
 /// Per-shard measurement of one fleet size.
 struct ShardRun {
@@ -269,11 +228,8 @@ fn run_steal_drill(
     }
 }
 
-fn write_json(path: &str, tenants: usize, runs: &[FleetRun], drill: &StealDrill, base_qps: f64) {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(
-        "  \"comment\": \"ae-serve fleet benchmark (shard = node model). Shards share no state, \
+fn write_json(path: &str, runs: &[FleetRun], drill: &StealDrill, base_qps: f64) {
+    let comment = "ae-serve fleet benchmark (shard = node model). Shards share no state, \
          so each fleet size routes one tagged request stream through the consistent-hash ring and \
          drives every shard's substream to completion sequentially on its own runtime; \
          aggregate_qps = total_requests / max(per-shard elapsed) — the fleet finishes when its \
@@ -281,13 +237,9 @@ fn write_json(path: &str, tenants: usize, runs: &[FleetRun], drill: &StealDrill,
          measure the kernel scheduler, not the architecture. The steal drill is live and \
          concurrent: it floods one shard's tenants and reports how much Standard backlog the \
          coordinator migrated. Regenerate with: cargo run --release -p ae-bench --bin \
-         bench_fleet -- --json BENCH_fleet.json\",\n",
-    );
-    out.push_str(&format!(
-        "  \"host\": \"{}-core container (rustc 1.95, release profile)\",\n",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    ));
-    out.push_str(&format!("  \"tenants\": {tenants},\n"));
+         bench_fleet -- --json BENCH_fleet.json";
+    let mut out = String::new();
+    out.push_str(&format!("  \"tenants\": {TENANTS},\n"));
     out.push_str("  \"fleet_sizes\": [\n");
     for (i, run) in runs.iter().enumerate() {
         out.push_str("    {\n");
@@ -324,49 +276,30 @@ fn write_json(path: &str, tenants: usize, runs: &[FleetRun], drill: &StealDrill,
          \"completed_off_victim\": {}\n",
         drill.requests, drill.steal_ops, drill.stolen_requests, drill.foreign_completed,
     ));
-    out.push_str("  }\n}\n");
-    let mut file = std::fs::File::create(path).expect("create json output");
-    file.write_all(out.as_bytes()).expect("write json output");
-    println!("wrote {path}");
+    out.push_str("  }\n");
+    report::write(path, comment, &out);
 }
 
 fn main() {
-    let args = parse_args();
+    let args = Args::from_env(&[]);
+    let requests = if args.smoke { 2_000 } else { 20_000 };
 
-    let registry_families = FamilyRegistry::builtin();
-    let family = registry_families.get("tpcds").expect("builtin tpcds");
-    let suite: Vec<QueryInstance> =
-        WorkloadGenerator::for_family(family, ScaleFactor::SF10).suite();
-    println!(
-        "==> training the parameter model ({}-query SF10 tpcds suite)",
-        suite.len()
-    );
-    let mut config = AutoExecutorConfig::default();
-    config.training_run.noise_cv = 0.0;
-    let (_, model) = train_from_workload(&suite, &config).expect("training");
-    let registry = Arc::new(ModelRegistry::in_memory());
-    registry
-        .register("fleet", model.to_portable("fleet").unwrap())
-        .unwrap();
-
-    let rewriter = Optimizer::with_default_rules();
-    let features: Vec<Vec<f64>> = suite
-        .iter()
-        .map(|q| {
-            let optimized = rewriter.optimize(q.plan.clone()).unwrap().plan;
-            autoexecutor::featurize_plan(&optimized)
-        })
-        .collect();
+    let Fixture {
+        config,
+        registry,
+        features,
+        ..
+    } = fixture(&WorkloadGenerator::new(ScaleFactor::SF10).suite(), "fleet");
 
     // Tagged open-loop stream: request i belongs to tenant i mod tenants
     // and scores plan i mod |suite| — every shard count replays the exact
     // same stream, only the routing changes.
-    let stream: Vec<(TenantId, usize)> = (0..args.requests)
-        .map(|i| (TenantId((i % args.tenants) as u64), i % features.len()))
+    let stream: Vec<(TenantId, usize)> = (0..requests)
+        .map(|i| (TenantId((i % TENANTS) as u64), i % features.len()))
         .collect();
 
     let mut runs = Vec::new();
-    for &shards in &args.shards {
+    for shards in SHARDS {
         let run = run_fleet(&registry, &config, shards, &stream, &features);
         println!(
             "fleet: {:>2} shards   {:>9.0} aggregate qps   makespan {:>7.1} ms   p99 skew {:>5.2}   ({} requests)",
@@ -400,7 +333,7 @@ fn main() {
     }
 
     if let Some(path) = &args.json {
-        write_json(path, args.tenants, &runs, &drill, base_qps);
+        write_json(path, &runs, &drill, base_qps);
     }
 
     if args.smoke {
@@ -414,7 +347,7 @@ fn main() {
                     ));
                 }
             }
-            None => failures.push("smoke needs a 4-shard run (--shards must include 4)".into()),
+            None => failures.push("smoke needs a 4-shard run".into()),
         }
         for run in &runs {
             if !run.p99_skew().is_finite() {
@@ -427,10 +360,7 @@ fn main() {
                 ));
             }
         }
-        if !failures.is_empty() {
-            eprintln!("fleet smoke FAILED: {}", failures.join("; "));
-            std::process::exit(1);
-        }
+        report::gate("fleet", &failures);
         println!("fleet smoke OK (4-shard >= 2x single-shard, finite skew, zero dropped/errors)");
     }
 }

@@ -2,7 +2,7 @@
 //! workload family in turn and scores every family's suite, emitting the
 //! full train-family × test-family accuracy matrix.
 //!
-//! Families covered (the builtin registry): `tpcds` (deep,
+//! Families covered (the builtin registry, each at SF10): `tpcds` (deep,
 //! aggregation-heavy), `tpch` (shallow, scan/join-heavy), `skew`
 //! (heavy-tailed sizes, stragglers, extreme elbows). Matrix entries are the
 //! mean of the paper's `E(n)` metric over the evaluation executor counts;
@@ -22,58 +22,32 @@
 //! matrix covers every family pair with finite errors — in particular the
 //! train-on-TPC-DS-like / score-TPC-H-like cell the CI gate is about.
 
-use std::io::Write as _;
 use std::time::Instant;
 
+use ae_bench::cli::Args;
 use ae_bench::experiments::generalization::print_matrix;
+use ae_bench::report;
 use ae_workload::{BuiltinFamily, ScaleFactor, WorkloadGenerator};
 use autoexecutor::evaluation::{
     generalization_matrix, ActualRuns, FamilyEvalSet, GeneralizationMatrix,
 };
 use autoexecutor::{AutoExecutorConfig, TrainingData};
 
-struct Args {
-    smoke: bool,
-    sf: u32,
-    json: Option<String>,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        smoke: false,
-        sf: 10,
-        json: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => args.smoke = true,
-            "--sf" => {
-                args.sf = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--sf needs a number");
-            }
-            "--json" => args.json = it.next(),
-            other => panic!("unknown argument: {other}"),
-        }
-    }
-    args
-}
+/// Scale factor of every family's suite.
+const SF: ScaleFactor = ScaleFactor::SF10;
 
 /// Ground-truth repeats (full mode matches the experiment harness).
 const FULL_REPEATS: usize = 3;
 
 fn build_eval_sets(
     config: &AutoExecutorConfig,
-    sf: ScaleFactor,
     eval_counts: &[usize],
     smoke: bool,
 ) -> Vec<FamilyEvalSet> {
     BuiltinFamily::ALL
         .into_iter()
         .map(|family| {
-            let mut suite = WorkloadGenerator::builtin(family, sf).suite();
+            let mut suite = WorkloadGenerator::builtin(family, SF).suite();
             if smoke {
                 // An evenly-strided subset keeps each family's diversity
                 // (the skew suite alternates its bimodal draws, so a prefix
@@ -99,21 +73,14 @@ fn build_eval_sets(
         .collect()
 }
 
-fn write_json(path: &str, sf: u32, matrix: &GeneralizationMatrix) {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(
-        "  \"comment\": \"Cross-family generalization: the parameter model is trained on each \
+fn write_json(path: &str, matrix: &GeneralizationMatrix) {
+    let comment = "Cross-family generalization: the parameter model is trained on each \
          workload family's full suite and scored on every family's suite. Entries are the mean \
          E(n) (Equation 6) over the evaluation executor counts; diagonal = in-family reference, \
          off-diagonal = transfer to an unseen family. Regenerate with: cargo run --release -p \
-         ae-bench --bin bench_generalization -- --json BENCH_generalization.json\",\n",
-    );
-    out.push_str(&format!(
-        "  \"host\": \"{}-core container (release profile)\",\n",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    ));
-    out.push_str(&format!("  \"scale_factor\": {sf},\n"));
+         ae-bench --bin bench_generalization -- --json BENCH_generalization.json";
+    let mut out = String::new();
+    out.push_str(&format!("  \"scale_factor\": {},\n", SF.0));
     out.push_str(&format!(
         "  \"families\": [{}],\n",
         matrix
@@ -152,15 +119,12 @@ fn write_json(path: &str, sf: u32, matrix: &GeneralizationMatrix) {
             "\n"
         });
     }
-    out.push_str("  ]\n}\n");
-    let mut file = std::fs::File::create(path).expect("create json output");
-    file.write_all(out.as_bytes()).expect("write json output");
-    println!("wrote {path}");
+    out.push_str("  ]\n");
+    report::write(path, comment, &out);
 }
 
 fn main() {
-    let args = parse_args();
-    let sf = ScaleFactor(args.sf);
+    let args = Args::from_env(&[]);
     let start = Instant::now();
 
     let mut config = AutoExecutorConfig::default();
@@ -172,7 +136,7 @@ fn main() {
         config.training_counts.to_vec()
     };
 
-    let sets = build_eval_sets(&config, sf, &eval_counts, args.smoke);
+    let sets = build_eval_sets(&config, &eval_counts, args.smoke);
     eprintln!(
         "==> training one model per family and scoring the {0}x{0} matrix",
         sets.len()
@@ -181,7 +145,7 @@ fn main() {
         generalization_matrix(&sets, &config, &eval_counts).expect("generalization matrix");
     print_matrix(&matrix);
     println!(
-        "completed in {:.1}s ({} queries per family at {sf})",
+        "completed in {:.1}s ({} queries per family at {SF})",
         start.elapsed().as_secs_f64(),
         sets.iter()
             .map(|s| s.suite.len().to_string())
@@ -190,7 +154,7 @@ fn main() {
     );
 
     if let Some(path) = &args.json {
-        write_json(path, args.sf, &matrix);
+        write_json(path, &matrix);
     }
 
     if args.smoke {
@@ -212,10 +176,7 @@ fn main() {
         if matrix.cell("tpcds", "tpch").is_none() {
             failures.push("missing the train=tpcds/test=tpch cell".to_string());
         }
-        if !failures.is_empty() {
-            eprintln!("generalization smoke FAILED: {}", failures.join("; "));
-            std::process::exit(1);
-        }
+        report::gate("generalization", &failures);
         println!("generalization smoke OK (full finite matrix over {expected:?})");
     }
 }

@@ -24,53 +24,21 @@
 //! cargo run --release -p ae-bench --bin bench_inference -- --json BENCH_inference.json
 //! ```
 //!
-//! `--smoke` shortens every phase and exits non-zero unless (a) compiled
-//! predictions are bit-identical to the interpreter over the whole batch
-//! and (b) compiled batched throughput is at least the interpreted
-//! baseline's.
+//! `--smoke` shortens every phase (4 096 to 1 024 rows per batch) and
+//! exits non-zero unless (a) compiled predictions are bit-identical to the
+//! interpreter over the whole batch and (b) compiled batched throughput is
+//! at least the interpreted baseline's.
 
 use std::hint::black_box;
-use std::io::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use ae_bench::cli::Args;
+use ae_bench::fixture::{fixture, Fixture};
+use ae_bench::report;
 use ae_ml::matrix::FeatureMatrix;
 use ae_serve::{RuntimeConfig, ScoringRuntime};
 use ae_workload::{ClosedLoop, ScaleFactor, WorkloadGenerator};
-use autoexecutor::prelude::*;
-use autoexecutor::ModelRegistry;
-
-struct Args {
-    smoke: bool,
-    batch_rows: usize,
-    json: Option<String>,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        smoke: false,
-        batch_rows: 4096,
-        json: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => args.smoke = true,
-            "--batch-rows" => {
-                args.batch_rows = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--batch-rows needs a number");
-            }
-            "--json" => args.json = it.next(),
-            other => panic!("unknown argument: {other}"),
-        }
-    }
-    if args.smoke {
-        args.batch_rows = args.batch_rows.min(1024);
-    }
-    args
-}
 
 /// Runs `op` repeatedly for at least `budget`, returning (ops, elapsed).
 fn measure(budget: Duration, mut op: impl FnMut()) -> (u64, Duration) {
@@ -92,7 +60,8 @@ fn per_op_ns(ops: u64, elapsed: Duration) -> f64 {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = Args::from_env(&[]);
+    let batch_rows = if args.smoke { 1024 } else { 4096 };
     let op_budget = if args.smoke {
         Duration::from_millis(120)
     } else {
@@ -100,13 +69,13 @@ fn main() {
     };
 
     let suite = WorkloadGenerator::new(ScaleFactor::SF10).suite();
-    println!(
-        "==> training the parameter model ({}-query SF10 tpcds suite)",
-        suite.len()
-    );
-    let mut config = AutoExecutorConfig::default();
-    config.training_run.noise_cv = 0.0;
-    let (_, model) = train_from_workload(&suite, &config).expect("training");
+    let Fixture {
+        config,
+        model,
+        registry,
+        plans,
+        ..
+    } = fixture(&suite, "inference");
     let forest = model.forest();
     let compiled = model.compiled();
     let k = compiled.num_outputs();
@@ -118,7 +87,8 @@ fn main() {
         k
     );
 
-    // Projected feature rows for every suite query, tiled to the batch size.
+    // Projected feature rows for every (unoptimized) suite query, tiled to
+    // the batch size.
     let rows: Vec<Vec<f64>> = suite
         .iter()
         .map(|q| {
@@ -127,8 +97,8 @@ fn main() {
                 .project(&autoexecutor::featurize_plan(&q.plan))
         })
         .collect();
-    let mut matrix = FeatureMatrix::with_capacity(compiled.num_features(), args.batch_rows);
-    for i in 0..args.batch_rows {
+    let mut matrix = FeatureMatrix::with_capacity(compiled.num_features(), batch_rows);
+    for i in 0..batch_rows {
         matrix.push_row(&rows[i % rows.len()]).expect("batch row");
     }
 
@@ -207,23 +177,13 @@ fn main() {
     );
 
     // --- End-to-end serving qps (closed loop through ae-serve). ---
-    let registry = Arc::new(ModelRegistry::in_memory());
-    registry
-        .register("inference", model.to_portable("inference").unwrap())
-        .unwrap();
     let runtime = Arc::new(ScoringRuntime::new(
-        Arc::clone(&registry),
+        registry,
         "inference",
         RuntimeConfig::from_auto_executor(&config),
     ));
     runtime.warm().expect("model warm-up");
-    let rewriter = Optimizer::with_default_rules();
-    let plans: Arc<Vec<ae_engine::QueryPlan>> = Arc::new(
-        suite
-            .iter()
-            .map(|q| rewriter.optimize(q.plan.clone()).unwrap().plan)
-            .collect(),
-    );
+    let plans = Arc::new(plans);
     let threads = 4;
     let serve_duration = if args.smoke {
         Duration::from_millis(300)
@@ -267,21 +227,14 @@ fn main() {
     );
 
     if let Some(path) = &args.json {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(
-            "  \"comment\": \"Compiled-forest inference benchmark: CompiledForest (flat SoA tree \
+        let comment = "Compiled-forest inference benchmark: CompiledForest (flat SoA tree \
              arenas, pooled leaf table, batch-major kernel) vs the interpreted \
              RandomForestRegressor walk every scoring path used before. 'interpreted \
              predict_matrix' is the pre-compilation batched serving walk and is the baseline the \
              speedup is quoted against; equivalence_bit_identical asserts compiled == interpreted \
              bit-for-bit over the whole batch. Regenerate with: cargo run --release -p ae-bench \
-             --bin bench_inference -- --json BENCH_inference.json\",\n",
-        );
-        out.push_str(&format!(
-            "  \"host\": \"{}-core container (release profile)\",\n",
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        ));
+             --bin bench_inference -- --json BENCH_inference.json";
+        let mut out = String::new();
         out.push_str(&format!(
             "  \"forest\": {{ \"trees\": {}, \"nodes\": {}, \"pooled_leaves\": {}, \"outputs\": {k} }},\n",
             compiled.num_trees(),
@@ -300,10 +253,7 @@ fn main() {
         out.push_str(&format!(
             "  \"serving\": {{ \"closed_loop_qps\": {serving_qps:.0}, \"client_threads\": {threads}, \"requests\": {served} }}\n"
         ));
-        out.push_str("}\n");
-        let mut file = std::fs::File::create(path).expect("create json output");
-        file.write_all(out.as_bytes()).expect("write json output");
-        println!("wrote {path}");
+        report::write(path, comment, &out);
     }
 
     if args.smoke {
@@ -320,10 +270,7 @@ fn main() {
         if stats.errors != 0 {
             failures.push(format!("{} serving errors", stats.errors));
         }
-        if !failures.is_empty() {
-            eprintln!("inference smoke FAILED: {}", failures.join("; "));
-            std::process::exit(1);
-        }
+        report::gate("inference", &failures);
         println!(
             "inference smoke OK (bit-identical, compiled {batch_speedup:.2}x interpreted, zero serving errors)"
         );

@@ -32,17 +32,21 @@
 //! cargo run --release -p ae-bench --bin bench_obs -- --json BENCH_obs.json
 //! ```
 //!
-//! `--smoke` shortens every phase and exits non-zero unless the roundtrip
-//! holds, the determinism gate reports zero mismatches, the strict-budget
-//! replay does not *reduce* misses, and the measured overhead stays under
-//! the smoke bound (generous, to absorb CI noise; the full run records the
+//! Capture and A/B run 4 client threads. `--smoke` shortens every phase
+//! (2 s to 0.8 s per A/B side, 480 to 120 captured requests over 12
+//! instead of 32 queries) and exits non-zero unless the roundtrip holds,
+//! the determinism gate reports zero mismatches, the strict-budget replay
+//! does not *reduce* misses, and the measured overhead stays under the
+//! smoke bound (generous, to absorb CI noise; the full run records the
 //! precise number in `BENCH_obs.json`).
 
-use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use ae_bench::cli::Args;
+use ae_bench::fixture::{fixture, Fixture};
+use ae_bench::report;
 use ae_obs::{
     feature_digest, replay, MetricsRegistry, ReplayDiff, ReplayPolicy, ReplayRun, ReplayScore,
     RequestStatus, ServingTrace, TraceMeta, TraceQuery, TraceRecord, TraceRecorder, TRACE_LEVELS,
@@ -56,65 +60,9 @@ use ae_workload::{QueryInstance, ScaleFactor, WorkloadGenerator};
 use autoexecutor::evaluation::ActualRuns;
 use autoexecutor::prelude::*;
 use autoexecutor::scoring;
-use autoexecutor::ModelRegistry;
 
-struct Args {
-    smoke: bool,
-    threads: usize,
-    seconds: f64,
-    requests: u64,
-    queries: usize,
-    json: Option<String>,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        smoke: false,
-        threads: 4,
-        seconds: 2.0,
-        requests: 480,
-        queries: 32,
-        json: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => args.smoke = true,
-            "--threads" => {
-                args.threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--threads needs a number");
-            }
-            "--seconds" => {
-                args.seconds = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seconds needs a number");
-            }
-            "--requests" => {
-                args.requests = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--requests needs a number");
-            }
-            "--queries" => {
-                args.queries = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--queries needs a number");
-            }
-            "--json" => args.json = it.next(),
-            other => panic!("unknown argument: {other}"),
-        }
-    }
-    if args.smoke {
-        args.seconds = args.seconds.min(0.8);
-        args.requests = args.requests.min(120);
-        args.queries = args.queries.min(12);
-    }
-    args
-}
+/// Client threads in the capture and in each side of the overhead A/B.
+const THREADS: usize = 4;
 
 /// Overhead bound asserted by `--smoke`. Deliberately looser than the 5%
 /// acceptance target measured on quiet hosts: a short smoke A/B on a noisy
@@ -349,7 +297,6 @@ fn capture(
 #[allow(clippy::too_many_arguments)]
 fn write_json(
     path: &str,
-    args: &Args,
     trace: &ServingTrace,
     capture_qps: f64,
     events_retained: usize,
@@ -364,28 +311,21 @@ fn write_json(
     qps_on: f64,
     overhead_pct: f64,
 ) {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(
-        "  \"comment\": \"ae-obs observability benchmark: serving-trace capture/replay \
+    let comment = "ae-obs observability benchmark: serving-trace capture/replay \
          determinism and metrics/tracing overhead. 'determinism_gate_mismatches' counts \
          bit-level disagreements between captured outcomes and a replay under the capture \
          configuration (must be 0). 'overhead_pct' is the closed-loop qps regression from \
          attaching the metrics registry + event sink to the scoring runtime, estimated as \
          the median over interleaved A/B slice pairs. Regenerate \
-         with: cargo run --release -p ae-bench --bin bench_obs -- --json BENCH_obs.json\",\n",
-    );
-    out.push_str(&format!(
-        "  \"host\": \"{}-core container (rustc 1.95, release profile)\",\n",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    ));
+         with: cargo run --release -p ae-bench --bin bench_obs -- --json BENCH_obs.json";
+    let mut out = String::new();
     out.push_str(&format!(
         "  \"capture\": {{\n    \"requests\": {},\n    \"queries\": {},\n    \
          \"client_threads\": {},\n    \"capture_qps\": {:.1},\n    \"trace_bytes\": {},\n    \
          \"events_retained\": {},\n    \"registry_metrics\": {}\n  }},\n",
         trace.records.len(),
         trace.queries.len(),
-        args.threads,
+        THREADS,
         capture_qps,
         trace_bytes,
         events_retained,
@@ -417,48 +357,37 @@ fn write_json(
         "  \"overhead\": {{\n    \"qps_obs_off\": {qps_off:.1},\n    \
          \"qps_obs_on\": {qps_on:.1},\n    \"overhead_pct\": {overhead_pct:.2}\n  }}\n"
     ));
-    out.push_str("}\n");
-    let mut file = std::fs::File::create(path).expect("create json output");
-    file.write_all(out.as_bytes()).expect("write json output");
-    println!("wrote {path}");
+    report::write(path, comment, &out);
 }
 
 fn main() {
     // The trace format carries exactly the serving tier's level count.
     const _: () = assert!(ServiceLevel::COUNT == TRACE_LEVELS);
 
-    let args = parse_args();
-    let duration = Duration::from_secs_f64(args.seconds);
+    let args = Args::from_env(&[]);
+    let (seconds, requests, queries) = if args.smoke {
+        (0.8, 120, 12)
+    } else {
+        (2.0, 480, 32)
+    };
+    let duration = Duration::from_secs_f64(seconds);
 
-    // --- Train on an SF10 TPC-DS subset (noise-free, deterministic). ---
-    let full_suite =
-        WorkloadGenerator::builtin(ae_workload::BuiltinFamily::Tpcds, ScaleFactor::SF10).suite();
-    let suite: Vec<QueryInstance> = full_suite.into_iter().take(args.queries).collect();
-    println!(
-        "==> training the parameter model ({}-query SF10 tpcds subset)",
-        suite.len()
-    );
-    let mut config = AutoExecutorConfig::default();
-    config.training_run.noise_cv = 0.0;
-    let (_, model) = train_from_workload(&suite, &config).expect("training");
-    let registry = Arc::new(ModelRegistry::in_memory());
-    registry
-        .register("serving", model.to_portable("serving").unwrap())
-        .unwrap();
+    // --- Train on an SF10 TPC-DS prefix (noise-free, deterministic). ---
+    let suite: Vec<QueryInstance> = WorkloadGenerator::new(ScaleFactor::SF10)
+        .suite()
+        .into_iter()
+        .take(queries)
+        .collect();
+    let Fixture {
+        config,
+        registry,
+        features,
+        ..
+    } = fixture(&suite, "serving");
     let decoded = ParameterModel::from_portable(&registry.load("serving").unwrap()).unwrap();
     let candidate_counts = config.candidate_counts();
     let objective = config.objective;
-
-    let rewriter = Optimizer::with_default_rules();
-    let features: Arc<Vec<Vec<f64>>> = Arc::new(
-        suite
-            .iter()
-            .map(|q| {
-                let optimized = rewriter.optimize(q.plan.clone()).unwrap().plan;
-                autoexecutor::featurize_plan(&optimized)
-            })
-            .collect(),
-    );
+    let features = Arc::new(features);
 
     // --- Ground-truth actual curves over the candidate counts. ---
     println!(
@@ -504,10 +433,7 @@ fn main() {
         runtime_config.with_observability(ObsConfig::new(Arc::clone(&metrics))),
     ));
     capture_runtime.warm().expect("model warm-up");
-    println!(
-        "==> capturing {} requests at {} client threads (obs enabled)",
-        args.requests, args.threads
-    );
+    println!("==> capturing {requests} requests at {THREADS} client threads (obs enabled)");
     let CaptureResult {
         trace,
         capture_qps,
@@ -519,8 +445,8 @@ fn main() {
         &features,
         meta,
         trace_queries,
-        args.requests,
-        args.threads,
+        requests,
+        THREADS,
     );
     let completed = trace
         .records
@@ -629,10 +555,7 @@ fn main() {
     );
 
     // --- Overhead A/B: closed-loop qps without vs with observability. ---
-    println!(
-        "==> overhead A/B ({:.1}s per side at {} client threads)",
-        args.seconds, args.threads
-    );
+    println!("==> overhead A/B ({seconds:.1}s per side at {THREADS} client threads)");
     let plain_runtime = Arc::new(ScoringRuntime::new(
         Arc::clone(&registry),
         "serving",
@@ -646,13 +569,8 @@ fn main() {
             .with_observability(ObsConfig::new(Arc::new(MetricsRegistry::new()))),
     ));
     obs_runtime.warm().expect("model warm-up");
-    let (qps_off, qps_on, overhead_pct) = interleaved_ab_qps(
-        &plain_runtime,
-        &obs_runtime,
-        &features,
-        args.threads,
-        duration,
-    );
+    let (qps_off, qps_on, overhead_pct) =
+        interleaved_ab_qps(&plain_runtime, &obs_runtime, &features, THREADS, duration);
     println!(
         "    obs off: {qps_off:.0} qps   obs on: {qps_on:.0} qps   overhead (median of slice pairs): {overhead_pct:+.2}%"
     );
@@ -660,7 +578,6 @@ fn main() {
     if let Some(path) = &args.json {
         write_json(
             path,
-            &args,
             &trace,
             capture_qps,
             events_retained,
@@ -697,10 +614,7 @@ fn main() {
                 "obs overhead {overhead_pct:.2}% exceeds {SMOKE_OVERHEAD_BOUND_PCT}% bound"
             ));
         }
-        if !failures.is_empty() {
-            eprintln!("obs smoke FAILED: {}", failures.join("; "));
-            std::process::exit(1);
-        }
+        report::gate("obs", &failures);
         println!(
             "obs smoke OK (roundtrip bit-identical, gate clean, overhead {overhead_pct:.2}% < {SMOKE_OVERHEAD_BOUND_PCT}%)"
         );

@@ -5,14 +5,13 @@
 //!
 //! * **calibrate** — a short closed-loop burst measures the runtime's
 //!   sustained capacity on this host.
-//! * **moderate** — a Poisson open-loop replay at a fraction of capacity
-//!   (`--moderate-fraction`, default 0.25), blocking submission. The SLA
-//!   claim at this load: `Interactive` finishes inside its deadline
-//!   budget — zero misses.
-//! * **overload** — a Poisson open-loop replay *above* capacity
-//!   (`--overload-factor`, default 2.0), non-blocking submission. Queues
-//!   saturate; the runtime sheds `BestEffort` first and keeps
-//!   `Interactive` p99 below `BestEffort` p99 (asserted by `--smoke`).
+//! * **moderate** — a Poisson open-loop replay at a quarter of capacity,
+//!   blocking submission. The SLA claim at this load: `Interactive`
+//!   finishes inside its deadline budget — zero misses.
+//! * **overload** — a Poisson open-loop replay at twice capacity,
+//!   non-blocking submission. Queues saturate; the runtime sheds
+//!   `BestEffort` first and keeps `Interactive` p99 below `BestEffort`
+//!   p99 (asserted by `--smoke`).
 //! * **fairness** — a dedicated runtime with a per-tenant token-bucket
 //!   policy: one flooding tenant against one in-rate tenant. The flood is
 //!   demoted to `BestEffort` and shed; the in-rate tenant must complete
@@ -35,17 +34,19 @@
 //! cargo run --release -p ae-bench --bin bench_qos -- --json BENCH_qos.json
 //! ```
 //!
-//! `--smoke` shortens every phase and exits non-zero unless: every
-//! recorded rate is finite, `Interactive` holds its deadline budget at
-//! moderate load (miss rate ≤ 0.1 %, absorbing single-core OS jitter;
-//! the recorded full runs show zero misses), `Interactive` p99 <
-//! `BestEffort` p99 under overload, and the in-rate tenant of the
-//! fairness phase is never starved.
+//! Every phase runs 4 client threads. `--smoke` shortens every phase (3 s
+//! to 0.8 s) and exits non-zero unless: every recorded rate is finite,
+//! `Interactive` holds its deadline budget at moderate load (miss rate
+//! ≤ 0.1 %, absorbing single-core OS jitter; the recorded full runs show
+//! zero misses), `Interactive` p99 < `BestEffort` p99 under overload, and
+//! the in-rate tenant of the fairness phase is never starved.
 
-use std::io::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use ae_bench::cli::Args;
+use ae_bench::fixture::{fixture, Fixture};
+use ae_bench::report;
 use ae_engine::plan::QueryPlan;
 use ae_obs::{AtomicHistogram, Ladder, LatencyStats, ShardedHistogram};
 use ae_serve::{
@@ -77,61 +78,14 @@ const LEVEL_WEIGHTS: [f64; ServiceLevel::COUNT] = [0.4, 0.5, 0.1];
 /// Tenants in the replayed stream (uniform mix).
 const TENANTS: usize = 4;
 
-struct Args {
-    smoke: bool,
-    threads: usize,
-    seconds: f64,
-    moderate_fraction: f64,
-    overload_factor: f64,
-    json: Option<String>,
-}
+/// Client threads in every phase.
+const THREADS: usize = 4;
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        smoke: false,
-        threads: 4,
-        seconds: 3.0,
-        moderate_fraction: 0.25,
-        overload_factor: 2.0,
-        json: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => args.smoke = true,
-            "--threads" => {
-                args.threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--threads needs a number");
-            }
-            "--seconds" => {
-                args.seconds = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seconds needs a number");
-            }
-            "--moderate-fraction" => {
-                args.moderate_fraction = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--moderate-fraction needs a number");
-            }
-            "--overload-factor" => {
-                args.overload_factor = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--overload-factor needs a number");
-            }
-            "--json" => args.json = it.next(),
-            other => panic!("unknown argument: {other}"),
-        }
-    }
-    if args.smoke {
-        args.seconds = args.seconds.min(0.8);
-    }
-    args
-}
+/// The moderate phase's offered rate as a fraction of capacity.
+const MODERATE_FRACTION: f64 = 0.25;
+
+/// The overload phase's offered rate as a multiple of capacity.
+const OVERLOAD_FACTOR: f64 = 2.0;
 
 /// Per-level measurements of one phase: offered volume and client-side
 /// latency wrap the runtime's own per-level counters.
@@ -510,16 +464,12 @@ fn quote_menu(
 
 fn write_json(
     path: &str,
-    threads: usize,
     capacity_qps: f64,
     phases: &[PhaseResult],
     fairness: &FairnessResult,
     quotes: &[QuoteRow],
 ) {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(
-        "  \"comment\": \"ae-serve QoS benchmark: per-service-level latency, deadline-miss \
+    let comment = "ae-serve QoS benchmark: per-service-level latency, deadline-miss \
          rate, and shed rate under tagged Poisson open-loop load. 'moderate' replays at a \
          fraction of the measured closed-loop capacity with blocking submission (the SLA \
          regime: Interactive must miss zero deadlines); 'overload' replays above capacity \
@@ -528,13 +478,9 @@ fn write_json(
          (tenant tags exercise the mix plumbing only); 'fairness' is a dedicated phase on \
          its own runtime with a per-tenant token bucket: a flooding tenant is demoted and \
          shed while an in-rate tenant completes every request. Regenerate with: cargo run \
-         --release -p ae-bench --bin bench_qos -- --json BENCH_qos.json\",\n",
-    );
-    out.push_str(&format!(
-        "  \"host\": \"{}-core container (rustc 1.95, release profile)\",\n",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    ));
-    out.push_str(&format!("  \"client_threads\": {threads},\n"));
+         --release -p ae-bench --bin bench_qos -- --json BENCH_qos.json";
+    let mut out = String::new();
+    out.push_str(&format!("  \"client_threads\": {THREADS},\n"));
     out.push_str(&format!("  \"capacity_qps\": {capacity_qps:.0},\n"));
     out.push_str(&format!(
         "  \"level_mix\": {{\"interactive\": {}, \"standard\": {}, \"best_effort\": {}}},\n",
@@ -609,40 +555,27 @@ fn write_json(
             if i + 1 < quotes.len() { "," } else { "" },
         ));
     }
-    out.push_str("  ]\n}\n");
-    let mut file = std::fs::File::create(path).expect("create json output");
-    file.write_all(out.as_bytes()).expect("write json output");
-    println!("wrote {path}");
+    out.push_str("  ]\n");
+    report::write(path, comment, &out);
 }
 
 fn main() {
-    let args = parse_args();
+    let args = Args::from_env(&[]);
+    let seconds: f64 = if args.smoke { 0.8 } else { 3.0 };
 
-    let generator = WorkloadGenerator::new(ScaleFactor::SF10);
-    let suite = generator.suite();
-    println!(
-        "==> training the parameter model ({}-query SF10 tpcds suite)",
-        suite.len()
-    );
-    let mut config = AutoExecutorConfig::default();
-    config.training_run.noise_cv = 0.0;
-    let (_, model) = train_from_workload(&suite, &config).expect("training");
-    let registry = Arc::new(ModelRegistry::in_memory());
-    registry
-        .register("qos", model.to_portable("qos").unwrap())
-        .unwrap();
-
-    let rewriter = Optimizer::with_default_rules();
+    let suite = WorkloadGenerator::new(ScaleFactor::SF10).suite();
+    let Fixture {
+        config,
+        registry,
+        plans,
+        ..
+    } = fixture(&suite, "qos");
     let named_plans: Vec<(String, QueryPlan)> = suite
         .iter()
-        .map(|q| {
-            (
-                q.name.clone(),
-                rewriter.optimize(q.plan.clone()).unwrap().plan,
-            )
-        })
+        .map(|q| q.name.clone())
+        .zip(plans.iter().cloned())
         .collect();
-    let plans: Arc<Vec<QueryPlan>> = Arc::new(named_plans.iter().map(|(_, p)| p.clone()).collect());
+    let plans = Arc::new(plans);
 
     let runtime = Arc::new(ScoringRuntime::new(
         Arc::clone(&registry),
@@ -652,11 +585,11 @@ fn main() {
     runtime.warm().expect("model warm-up");
 
     // --- Calibration: short closed-loop burst to measure capacity. ---
-    let calibration_seconds = (args.seconds * 0.3).max(0.2);
-    let sequences = ClosedLoop::new(args.threads, 512, 1).sequences(plans.len());
+    let calibration_seconds = (seconds * 0.3).max(0.2);
+    let sequences = ClosedLoop::new(THREADS, 512, 1).sequences(plans.len());
     let start = Instant::now();
     let deadline = Duration::from_secs_f64(calibration_seconds);
-    let handles: Vec<_> = (0..args.threads)
+    let handles: Vec<_> = (0..THREADS)
         .map(|t| {
             let plans = Arc::clone(&plans);
             let runtime = Arc::clone(&runtime);
@@ -677,18 +610,15 @@ fn main() {
         .collect();
     let calibration_requests: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
     let capacity_qps = calibration_requests as f64 / start.elapsed().as_secs_f64().max(1e-9);
-    println!(
-        "==> calibrated capacity: {capacity_qps:.0} qps at {} client threads",
-        args.threads
-    );
+    println!("==> calibrated capacity: {capacity_qps:.0} qps at {THREADS} client threads");
 
     // --- Moderate load: blocking submission at a fraction of capacity. ---
     let moderate = run_phase(
         "moderate",
-        (capacity_qps * args.moderate_fraction).max(50.0),
-        args.seconds,
+        (capacity_qps * MODERATE_FRACTION).max(50.0),
+        seconds,
         11,
-        args.threads,
+        THREADS,
         &plans,
         &runtime,
         true,
@@ -698,10 +628,10 @@ fn main() {
     // --- Overload: non-blocking submission above capacity. ---
     let overload = run_phase(
         "overload",
-        (capacity_qps * args.overload_factor).max(200.0),
-        args.seconds,
+        (capacity_qps * OVERLOAD_FACTOR).max(200.0),
+        seconds,
         12,
-        args.threads,
+        THREADS,
         &plans,
         &runtime,
         false,
@@ -709,7 +639,7 @@ fn main() {
     print_phase(&overload);
 
     // --- Fairness: flooding tenant vs in-rate tenant on a policed runtime. ---
-    let fairness = run_fairness_phase(&registry, &config, &plans, args.threads);
+    let fairness = run_fairness_phase(&registry, &config, &plans, THREADS);
     print_fairness(&fairness);
 
     // --- Price menu for three representative queries. ---
@@ -729,14 +659,7 @@ fn main() {
 
     let phases = [moderate, overload];
     if let Some(path) = &args.json {
-        write_json(
-            path,
-            args.threads,
-            capacity_qps,
-            &phases,
-            &fairness,
-            &quotes,
-        );
+        write_json(path, capacity_qps, &phases, &fairness, &quotes);
     }
 
     if args.smoke {
@@ -806,10 +729,7 @@ fn main() {
         if fairness.demoted == 0 {
             failures.push("fairness: the flooding tenant was never demoted".to_string());
         }
-        if !failures.is_empty() {
-            eprintln!("qos smoke FAILED: {}", failures.join("; "));
-            std::process::exit(1);
-        }
+        report::gate("qos", &failures);
         println!(
             "qos smoke OK (finite rates, Interactive holds its budget at moderate load, \
              Interactive p99 < BestEffort p99 under overload, in-rate tenant never starved)"

@@ -30,63 +30,28 @@
 //! cargo run --release -p ae-bench --bin bench_resilience -- --json BENCH_resilience.json
 //! ```
 //!
-//! `--smoke` shortens the run and exits non-zero unless, killing 1 of 4
-//! shards: no ticket is lost at any fleet size, surviving goodput stays
-//! at or above 60% of the pre-kill rate, and probation re-admits the
-//! revived shard (finite time-to-recover).
+//! `--smoke` shortens the run (8 000 to 2 000 requests per phase) and
+//! exits non-zero unless, killing 1 of 4 shards: no ticket is lost at any
+//! fleet size, surviving goodput stays at or above 60% of the pre-kill
+//! rate, and probation re-admits the revived shard (finite
+//! time-to-recover).
 
-use std::io::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use ae_bench::cli::Args;
+use ae_bench::fixture::{fixture, Fixture};
+use ae_bench::report;
 use ae_serve::{
     FleetConfig, HealthPolicy, InducedFault, RuntimeConfig, ScoreRequest, ServiceLevel,
     ShardedRuntime, TenantId,
 };
-use ae_workload::{FamilyRegistry, QueryInstance, ScaleFactor, WorkloadGenerator};
+use ae_workload::{ScaleFactor, WorkloadGenerator};
 use autoexecutor::prelude::*;
 use autoexecutor::ModelRegistry;
 
-struct Args {
-    smoke: bool,
-    shards: Vec<usize>,
-    requests: usize,
-    json: Option<String>,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        smoke: false,
-        shards: vec![2, 4, 8],
-        requests: 8_000,
-        json: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => args.smoke = true,
-            "--shards" => {
-                let list = it.next().expect("--shards needs a comma-separated list");
-                args.shards = list
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("--shards needs numbers"))
-                    .collect();
-            }
-            "--requests" => {
-                args.requests = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--requests needs a number");
-            }
-            "--json" => args.json = it.next(),
-            other => panic!("unknown argument: {other}"),
-        }
-    }
-    if args.smoke {
-        args.requests = args.requests.min(2_000);
-    }
-    args
-}
+/// Fleet sizes whose failure lifecycle is walked.
+const SHARDS: [usize; 3] = [2, 4, 8];
 
 const TENANTS: u64 = 64;
 
@@ -354,10 +319,7 @@ fn format_ms(duration: Option<Duration>) -> String {
 }
 
 fn write_json(path: &str, runs: &[LifecycleRun]) {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(
-        "  \"comment\": \"ae-serve fleet resilience benchmark: one full failure lifecycle per \
+    let comment = "ae-serve fleet resilience benchmark: one full failure lifecycle per \
          fleet size, live on this host. A closed-loop client measures pre-fault qps, then one \
          shard is crashed: failover rescues in-flight failures while the health monitor \
          quarantines the shard (time_to_quarantine_ms), survivors carry the load \
@@ -366,12 +328,8 @@ fn write_json(path: &str, runs: &[LifecycleRun]) {
          tickets ride through the kill window; lost_tickets must be 0. accounting_exact checks \
          completed == client Oks and errors == client errors + failover retries. Regenerate \
          with: cargo run --release -p ae-bench --bin bench_resilience -- --json \
-         BENCH_resilience.json\",\n",
-    );
-    out.push_str(&format!(
-        "  \"host\": \"{}-core container (rustc 1.95, release profile)\",\n",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    ));
+         BENCH_resilience.json";
+    let mut out = String::new();
     out.push_str("  \"fleet_sizes\": [\n");
     for (i, run) in runs.iter().enumerate() {
         out.push_str("    {\n");
@@ -424,43 +382,24 @@ fn write_json(path: &str, runs: &[LifecycleRun]) {
         out.push_str("    }");
         out.push_str(if i + 1 < runs.len() { ",\n" } else { "\n" });
     }
-    out.push_str("  ]\n}\n");
-    let mut file = std::fs::File::create(path).expect("create json output");
-    file.write_all(out.as_bytes()).expect("write json output");
-    println!("wrote {path}");
+    out.push_str("  ]\n");
+    report::write(path, comment, &out);
 }
 
 fn main() {
-    let args = parse_args();
+    let args = Args::from_env(&[]);
+    let requests = if args.smoke { 2_000 } else { 8_000 };
 
-    let registry_families = FamilyRegistry::builtin();
-    let family = registry_families.get("tpcds").expect("builtin tpcds");
-    let suite: Vec<QueryInstance> =
-        WorkloadGenerator::for_family(family, ScaleFactor::SF10).suite();
-    println!(
-        "==> training the parameter model ({}-query SF10 tpcds suite)",
-        suite.len()
-    );
-    let mut config = AutoExecutorConfig::default();
-    config.training_run.noise_cv = 0.0;
-    let (_, model) = train_from_workload(&suite, &config).expect("training");
-    let registry = Arc::new(ModelRegistry::in_memory());
-    registry
-        .register("fleet", model.to_portable("fleet").unwrap())
-        .unwrap();
-
-    let rewriter = Optimizer::with_default_rules();
-    let features: Vec<Vec<f64>> = suite
-        .iter()
-        .map(|q| {
-            let optimized = rewriter.optimize(q.plan.clone()).unwrap().plan;
-            autoexecutor::featurize_plan(&optimized)
-        })
-        .collect();
+    let Fixture {
+        config,
+        registry,
+        features,
+        ..
+    } = fixture(&WorkloadGenerator::new(ScaleFactor::SF10).suite(), "fleet");
 
     let mut runs = Vec::new();
-    for &shards in &args.shards {
-        let run = run_lifecycle(&registry, &config, &features, shards, args.requests);
+    for shards in SHARDS {
+        let run = run_lifecycle(&registry, &config, &features, shards, requests);
         println!(
             "resilience: {:>2} shards   pre {:>8.0} qps   fault goodput {:>8.0} qps ({:>5.1}% retained)   post {:>8.0} qps   quarantine {:>7} ms   recover {:>7} ms   lost {}",
             run.shards,
@@ -514,12 +453,9 @@ fn main() {
                     ));
                 }
             }
-            None => failures.push("smoke needs a 4-shard run (--shards must include 4)".into()),
+            None => failures.push("smoke needs a 4-shard run".into()),
         }
-        if !failures.is_empty() {
-            eprintln!("resilience smoke FAILED: {}", failures.join("; "));
-            std::process::exit(1);
-        }
+        report::gate("resilience", &failures);
         println!(
             "resilience smoke OK (zero lost tickets, >= 60% goodput through a 1-of-4 kill, \
              probation re-admitted every revived shard)"

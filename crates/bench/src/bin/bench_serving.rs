@@ -2,7 +2,7 @@
 //! batch-size histogram of the `ae-serve` scoring runtime against naive
 //! one-at-a-time serving loops.
 //!
-//! Modes measured (each for a fixed duration at `--threads` client threads):
+//! Modes measured (each for a fixed duration at 8 client threads):
 //!
 //! * `naive_one_at_a_time` — the pre-PR serving path: a global mutex
 //!   serializes requests, and every request fetches the model from the
@@ -24,79 +24,32 @@
 //! cargo run --release -p ae-bench --bin bench_serving -- --smoke # CI gate
 //! cargo run --release -p ae-bench --bin bench_serving -- --json BENCH_serving.json
 //! cargo run --release -p ae-bench --bin bench_serving -- --family mixed
-//! cargo run --release -p ae-bench --bin bench_serving -- --obs  # with observability
 //! ```
 //!
-//! `--smoke` shortens every phase and exits non-zero unless the runtime
-//! sustained qps > 0 with zero dropped requests and zero errors.
-//! `--obs` attaches an `ae-obs` metrics registry and event sink to the
-//! runtime (the overhead A/B lives in `bench_obs`).
-//! `--family` selects which workload family's suite is trained on and
-//! replayed (`tpcds` by default, any registered family key, or `mixed` for
-//! a request stream spanning every builtin family).
+//! `--smoke` shortens every phase (4 s to 0.6 s) and exits non-zero unless
+//! the runtime sustained qps > 0 with zero dropped requests and zero
+//! errors. `--family` selects which workload family's suite is trained on
+//! and replayed (`tpcds` by default, any registered family key, or `mixed`
+//! for a request stream spanning every builtin family).
 
-use std::io::Write as _;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use ae_bench::cli::Args;
+use ae_bench::fixture::{fixture, Fixture};
+use ae_bench::report;
 use ae_engine::plan::QueryPlan;
-use ae_obs::{Ladder, LatencyStats, MetricsRegistry, ShardedHistogram};
-use ae_serve::{ObsConfig, RuntimeConfig, RuntimeStats, ScoringRuntime};
+use ae_obs::{Ladder, LatencyStats, ShardedHistogram};
+use ae_serve::{RuntimeConfig, RuntimeStats, ScoringRuntime};
 use ae_workload::{
     mixed_suite, ClosedLoop, FamilyRegistry, OpenLoop, QueryInstance, ScaleFactor,
     WorkloadGenerator,
 };
 use autoexecutor::prelude::*;
 use autoexecutor::scoring;
-use autoexecutor::ModelRegistry;
 
-struct Args {
-    smoke: bool,
-    threads: usize,
-    seconds: f64,
-    family: String,
-    json: Option<String>,
-    obs: bool,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        smoke: false,
-        threads: 8,
-        seconds: 4.0,
-        family: "tpcds".to_string(),
-        json: None,
-        obs: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => args.smoke = true,
-            "--obs" => args.obs = true,
-            "--threads" => {
-                args.threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--threads needs a number");
-            }
-            "--seconds" => {
-                args.seconds = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seconds needs a number");
-            }
-            "--family" => {
-                args.family = it.next().expect("--family needs a family key or 'mixed'");
-            }
-            "--json" => args.json = it.next(),
-            other => panic!("unknown argument: {other}"),
-        }
-    }
-    if args.smoke {
-        args.seconds = args.seconds.min(0.6);
-    }
-    args
-}
+/// Client threads in every mode.
+const THREADS: usize = 8;
 
 /// Resolves `--family` into the suite the benchmark trains on and replays:
 /// one registered family's suite, or `mixed` — the concatenation of every
@@ -237,11 +190,8 @@ fn drive_open_loop(
     (total, start.elapsed(), histogram.snapshot().latency_stats())
 }
 
-fn write_json(path: &str, threads: usize, modes: &[ModeResult], speedup: f64) {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(
-        "  \"comment\": \"ae-serve serving benchmark. 'naive_one_at_a_time' reproduces the \
+fn write_json(path: &str, modes: &[ModeResult], speedup: f64) {
+    let comment = "ae-serve serving benchmark. 'naive_one_at_a_time' reproduces the \
          pre-PR serving path (global mutex, model deep-cloned + re-decoded from the registry per \
          request); 'sequential_cached_mutex' caches the decoded model but still scores one plan \
          at a time; the ae_serve modes go through the concurrent batching runtime. On a 1-core \
@@ -249,13 +199,9 @@ fn write_json(path: &str, threads: usize, modes: &[ModeResult], speedup: f64) {
          queue/batch machinery only absorbs overflow (its cross-thread handoff costs more than this small \
          model's inference, so sequential_cached_mutex can still edge it out); on multi-core \
          hosts the inline slots and batching workers score in parallel. Regenerate with: cargo \
-         run --release -p ae-bench --bin bench_serving -- --json BENCH_serving.json\",\n",
-    );
-    out.push_str(&format!(
-        "  \"host\": \"{}-core container (rustc 1.95, release profile)\",\n",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    ));
-    out.push_str(&format!("  \"client_threads\": {threads},\n"));
+         run --release -p ae-bench --bin bench_serving -- --json BENCH_serving.json";
+    let mut out = String::new();
+    out.push_str(&format!("  \"client_threads\": {THREADS},\n"));
     out.push_str(&format!(
         "  \"speedup_vs_naive\": \"{speedup:.1}x (ae_serve_closed_loop over naive_one_at_a_time)\",\n"
     ));
@@ -286,39 +232,24 @@ fn write_json(path: &str, threads: usize, modes: &[ModeResult], speedup: f64) {
         out.push_str("\n    }");
         out.push_str(if i + 1 < modes.len() { ",\n" } else { "\n" });
     }
-    out.push_str("  ]\n}\n");
-    let mut file = std::fs::File::create(path).expect("create json output");
-    file.write_all(out.as_bytes()).expect("write json output");
-    println!("wrote {path}");
+    out.push_str("  ]\n");
+    report::write(path, comment, &out);
 }
 
 fn main() {
-    let args = parse_args();
-    let duration = Duration::from_secs_f64(args.seconds);
+    let args = Args::from_env(&["family"]);
+    let seconds = if args.smoke { 0.6 } else { 4.0 };
+    let duration = Duration::from_secs_f64(seconds);
 
-    let suite = resolve_suite(&args.family);
-    println!(
-        "==> training the parameter model ({}-query SF10 '{}' suite)",
-        suite.len(),
-        args.family
-    );
-    let mut config = AutoExecutorConfig::default();
-    config.training_run.noise_cv = 0.0;
-    let (_, model) = train_from_workload(&suite, &config).expect("training");
-    let registry = Arc::new(ModelRegistry::in_memory());
-    registry
-        .register("serving", model.to_portable("serving").unwrap())
-        .unwrap();
-
-    // Score already-optimized plans (the rule runs last in the optimizer).
-    let rewriter = Optimizer::with_default_rules();
-    let plans: Arc<Vec<QueryPlan>> = Arc::new(
-        suite
-            .iter()
-            .map(|q| rewriter.optimize(q.plan.clone()).unwrap().plan)
-            .collect(),
-    );
-    let sequences = ClosedLoop::new(args.threads, 512, 1).sequences(plans.len());
+    let family = args.value("family").unwrap_or("tpcds");
+    let Fixture {
+        config,
+        registry,
+        plans,
+        ..
+    } = fixture(&resolve_suite(family), "serving");
+    let plans = Arc::new(plans);
+    let sequences = ClosedLoop::new(THREADS, 512, 1).sequences(plans.len());
     let candidate_counts = config.candidate_counts();
     let objective = config.objective;
 
@@ -337,7 +268,7 @@ fn main() {
             scoring::score_features(&model, &features, objective, &counts).unwrap();
         });
         let (requests, elapsed, latency) = drive_closed_loop(
-            args.threads,
+            THREADS,
             duration,
             Arc::clone(&plans),
             sequences.clone(),
@@ -366,7 +297,7 @@ fn main() {
             scoring::score_features(&model, &features, objective, &counts).unwrap();
         });
         let (requests, elapsed, latency) = drive_closed_loop(
-            args.threads,
+            THREADS,
             duration,
             Arc::clone(&plans),
             sequences.clone(),
@@ -384,16 +315,10 @@ fn main() {
     print_mode(&cached);
 
     // --- Mode 3: the ae-serve runtime under closed-loop load. ---
-    let metrics = Arc::new(MetricsRegistry::new());
-    let mut runtime_config = RuntimeConfig::from_auto_executor(&config);
-    if args.obs {
-        runtime_config = runtime_config.with_observability(ObsConfig::new(Arc::clone(&metrics)));
-        println!("==> observability ENABLED (metrics registry + event sink attached)");
-    }
     let runtime = Arc::new(ScoringRuntime::new(
         Arc::clone(&registry),
         "serving",
-        runtime_config,
+        RuntimeConfig::from_auto_executor(&config),
     ));
     runtime.warm().expect("model warm-up");
     let closed = {
@@ -402,7 +327,7 @@ fn main() {
             rt.score(plan).expect("closed-loop scoring");
         });
         let (requests, elapsed, latency) = drive_closed_loop(
-            args.threads,
+            THREADS,
             duration,
             Arc::clone(&plans),
             sequences.clone(),
@@ -421,16 +346,12 @@ fn main() {
 
     // --- Mode 4: open-loop Poisson replay at ~60 % of closed-loop qps. ---
     let open_rate = (closed.qps() * 0.6).max(50.0);
-    let open_requests = ((open_rate * args.seconds) as usize).max(50);
+    let open_requests = ((open_rate * seconds) as usize).max(50);
     let schedule = Arc::new(OpenLoop::new(open_rate, open_requests, 2).schedule(plans.len()));
     let stats_before = runtime.stats();
     let open = {
-        let (requests, elapsed, latency) = drive_open_loop(
-            args.threads,
-            schedule,
-            Arc::clone(&plans),
-            Arc::clone(&runtime),
-        );
+        let (requests, elapsed, latency) =
+            drive_open_loop(THREADS, schedule, Arc::clone(&plans), Arc::clone(&runtime));
         let stats = runtime.stats().delta_since(&stats_before);
         ModeResult {
             name: "ae_serve_open_loop",
@@ -444,26 +365,14 @@ fn main() {
     print_mode(&open);
 
     let final_stats = runtime.stats();
-    if args.obs {
-        let obs = runtime.observability().expect("obs enabled");
-        let events = obs.events().snapshot();
-        let snap = metrics.snapshot();
-        println!(
-            "==> obs: {} events retained, {} registry metrics, completed counter {:?}",
-            events.len(),
-            snap.values().len(),
-            snap.counter("serve.completed"),
-        );
-    }
     let speedup = closed.qps() / naive.qps().max(1e-9);
     println!(
-        "==> ae_serve_closed_loop vs naive_one_at_a_time: {speedup:.1}x sustained qps at {} client threads",
-        args.threads
+        "==> ae_serve_closed_loop vs naive_one_at_a_time: {speedup:.1}x sustained qps at {THREADS} client threads"
     );
 
     let modes = [naive, cached, closed, open];
     if let Some(path) = &args.json {
-        write_json(path, args.threads, &modes, speedup);
+        write_json(path, &modes, speedup);
     }
 
     if args.smoke {
@@ -478,10 +387,7 @@ fn main() {
         if final_stats.errors != 0 {
             failures.push(format!("{} scoring errors", final_stats.errors));
         }
-        if !failures.is_empty() {
-            eprintln!("serving smoke FAILED: {}", failures.join("; "));
-            std::process::exit(1);
-        }
+        report::gate("serving", &failures);
         println!("serving smoke OK (qps > 0, zero dropped, zero errors)");
     }
 }

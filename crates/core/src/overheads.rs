@@ -8,7 +8,7 @@
 
 use std::time::{Duration, Instant};
 
-use ae_ml::portable::ScoringRuntime;
+use ae_ml::portable::PortableModel;
 use ae_ppm::fit::{fit_amdahl, fit_power_law};
 use ae_workload::QueryInstance;
 use serde::{Deserialize, Serialize};
@@ -62,12 +62,20 @@ pub fn measure_overheads(
     let model = ParameterModel::train(data, config)?;
     let forest_training = train_start.elapsed();
 
-    // Export + measure model size, then load it back through the portable
-    // scoring path to time load and session setup.
+    // Export + measure model size, then load it back: decoding is the model
+    // load, and one warm-up prediction on a zero row (which checks the
+    // width) is the session setup.
     let portable = model.to_portable("overheads")?;
     let bytes = portable.to_bytes().map_err(crate::AutoExecutorError::Ml)?;
     let portable_model_bytes = bytes.len();
-    let mut runtime = ScoringRuntime::from_bytes(&bytes).map_err(crate::AutoExecutorError::Ml)?;
+    let load_start = Instant::now();
+    let loaded = PortableModel::from_bytes(&bytes).map_err(crate::AutoExecutorError::Ml)?;
+    let model_load = load_start.elapsed();
+    let setup_start = Instant::now();
+    loaded
+        .predict(&vec![0.0; loaded.feature_names.len()])
+        .map_err(crate::AutoExecutorError::Ml)?;
+    let session_setup = setup_start.elapsed();
 
     // Featurization and inference per query.
     let mut featurization_total = Duration::ZERO;
@@ -79,8 +87,8 @@ pub fn measure_overheads(
 
         let projected = config.feature_set.project(&features);
         let infer_start = Instant::now();
-        let _ = runtime
-            .score(&projected)
+        loaded
+            .predict(&projected)
             .map_err(crate::AutoExecutorError::Ml)?;
         inference_total += infer_start.elapsed();
     }
@@ -98,8 +106,8 @@ pub fn measure_overheads(
         forest_training,
         portable_model_bytes,
         featurization_per_query: per_query(featurization_total),
-        model_load: runtime.stats().load_time,
-        session_setup: runtime.stats().setup_time,
+        model_load,
+        session_setup,
         inference_per_query: per_query(inference_total),
     })
 }

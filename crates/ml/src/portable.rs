@@ -1,17 +1,17 @@
-//! Portable model format and in-process scoring runtime.
+//! Portable model format.
 //!
 //! The paper exports the scikit-learn parameter model to ONNX so that the
 //! JVM-resident Spark optimizer can score it in-process with millisecond
 //! latency (Section 4.3). This module plays the same role: a fitted
 //! [`RandomForestRegressor`] is serialised into a compact, self-describing
-//! [`PortableModel`] (JSON on disk, extension `.aex`), and a
-//! [`ScoringRuntime`] loads, validates, and caches it for repeated scoring
-//! inside the query optimizer.
+//! [`PortableModel`] (JSON bytes, or a file with extension `.aex`). Loading
+//! checks the format version and compiles the forest once, so a loaded
+//! model scores rows, or whole feature matrices, through the compiled
+//! kernel.
 
 use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
@@ -163,120 +163,6 @@ impl PortableModel {
     }
 }
 
-/// Timing breakdown collected by the scoring runtime, mirroring the
-/// overheads of Section 5.6 (model load, session setup, per-query inference).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ScoringStats {
-    /// Time spent deserialising the model.
-    pub load_time: Duration,
-    /// Time spent building the in-memory session (validation + warm-up).
-    pub setup_time: Duration,
-    /// Cumulative inference time across all `score` calls.
-    pub total_inference_time: Duration,
-    /// Number of `score` calls served.
-    pub inferences: u64,
-}
-
-impl ScoringStats {
-    /// Mean per-call inference latency.
-    pub fn mean_inference_time(&self) -> Duration {
-        if self.inferences == 0 {
-            Duration::ZERO
-        } else {
-            self.total_inference_time / self.inferences as u32
-        }
-    }
-}
-
-/// An in-process scoring session over a loaded [`PortableModel`].
-///
-/// The optimizer keeps one `ScoringRuntime` per model and reuses it across
-/// queries, so the load/setup costs are paid once (the "model load and cache"
-/// step of the AutoExecutor rule).
-#[derive(Debug, Clone)]
-pub struct ScoringRuntime {
-    model: PortableModel,
-    stats: ScoringStats,
-}
-
-impl ScoringRuntime {
-    /// Builds a runtime from serialized bytes, recording the load time.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let load_start = Instant::now();
-        let model = PortableModel::from_bytes(bytes)?;
-        let load_time = load_start.elapsed();
-
-        let setup_start = Instant::now();
-        // Session setup: validate widths by scoring a zero vector once.
-        let warmup = vec![0.0; model.feature_names.len()];
-        model.predict(&warmup)?;
-        let setup_time = setup_start.elapsed();
-
-        Ok(Self {
-            model,
-            stats: ScoringStats {
-                load_time,
-                setup_time,
-                ..Default::default()
-            },
-        })
-    }
-
-    /// Builds a runtime directly from an in-memory model (no deserialisation).
-    pub fn from_model(model: PortableModel) -> Result<Self> {
-        let setup_start = Instant::now();
-        let warmup = vec![0.0; model.feature_names.len()];
-        model.predict(&warmup)?;
-        let setup_time = setup_start.elapsed();
-        Ok(Self {
-            model,
-            stats: ScoringStats {
-                setup_time,
-                ..Default::default()
-            },
-        })
-    }
-
-    /// Builds a runtime by loading a model file.
-    pub fn from_file(path: impl AsRef<Path>) -> Result<Self> {
-        let load_start = Instant::now();
-        let model = PortableModel::load(path)?;
-        let load_time = load_start.elapsed();
-        let mut rt = Self::from_model(model)?;
-        rt.stats.load_time = load_time;
-        Ok(rt)
-    }
-
-    /// The model metadata (name, feature/target names).
-    pub fn model(&self) -> &PortableModel {
-        &self.model
-    }
-
-    /// Scores one feature row, accumulating inference-time statistics.
-    pub fn score(&mut self, row: &[f64]) -> Result<Vec<f64>> {
-        let start = Instant::now();
-        let out = self.model.predict(row)?;
-        self.stats.total_inference_time += start.elapsed();
-        self.stats.inferences += 1;
-        Ok(out)
-    }
-
-    /// Scores a whole feature matrix in one call, counting each row as one
-    /// inference in the statistics.
-    pub fn score_matrix(&mut self, matrix: &FeatureMatrix) -> Result<Vec<Vec<f64>>> {
-        let start = Instant::now();
-        let out = self.model.predict_matrix(matrix)?;
-        self.stats.total_inference_time += start.elapsed();
-        self.stats.inferences += matrix.len() as u64;
-        Ok(out)
-    }
-
-    /// The accumulated timing statistics.
-    pub fn stats(&self) -> ScoringStats {
-        self.stats
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -339,27 +225,13 @@ mod tests {
     }
 
     #[test]
-    fn scoring_runtime_counts_inferences() {
-        let rf = fitted_forest();
-        let portable = PortableModel::from_forest("test", rf).unwrap();
-        let bytes = portable.to_bytes().unwrap();
-        let mut rt = ScoringRuntime::from_bytes(&bytes).unwrap();
-        for i in 0..5 {
-            rt.score(&[i as f64]).unwrap();
-        }
-        assert_eq!(rt.stats().inferences, 5);
-        assert!(rt.stats().mean_inference_time() <= rt.stats().total_inference_time);
-    }
-
-    #[test]
     fn score_matrix_matches_per_row_scoring() {
         let rf = fitted_forest();
         let portable = PortableModel::from_forest("batch", rf).unwrap();
-        let mut rt = ScoringRuntime::from_model(portable.clone()).unwrap();
         let rows = vec![vec![3.0], vec![7.0], vec![21.0]];
         let matrix = FeatureMatrix::from_rows(&rows).unwrap();
-        let batched = rt.score_matrix(&matrix).unwrap();
-        assert_eq!(rt.stats().inferences, 3);
+        let batched = portable.predict_matrix(&matrix).unwrap();
+        assert_eq!(batched.len(), rows.len());
         for (row, out) in rows.iter().zip(&batched) {
             assert_eq!(out, &portable.predict(row).unwrap());
         }
@@ -373,9 +245,18 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("model.aex");
         portable.save(&path).unwrap();
-        let rt = ScoringRuntime::from_file(&path).unwrap();
-        assert_eq!(rt.model().name, "file-test");
-        assert!(portable.serialized_size().unwrap() > 0);
+        let loaded = PortableModel::load(&path).unwrap();
         std::fs::remove_file(&path).ok();
+        assert_eq!(loaded.name, "file-test");
+        assert_eq!(loaded.feature_names, portable.feature_names);
+        assert_eq!(loaded.target_names, portable.target_names);
+        let bits = |model: &PortableModel, x: f64| -> Vec<u64> {
+            let out = model.predict(&[x]).unwrap();
+            out.iter().map(|v| v.to_bits()).collect()
+        };
+        for x in [-1.0, 0.0, 3.5, 17.0, 39.0, 100.0] {
+            assert_eq!(bits(&loaded, x), bits(&portable, x), "row {x}");
+        }
+        assert!(portable.serialized_size().unwrap() > 0);
     }
 }

@@ -29,8 +29,9 @@
 # work-steal drill), and a resilience smoke (one full shard failure
 # lifecycle per fleet size: zero lost tickets, surviving goodput >= 60%
 # of pre-kill through a 1-of-4 shard crash, and probationary recovery
-# re-admitting the revived shard). Pass --full to also run the full
-# bench suite (slow).
+# re-admitting the revived shard). Every driver smoke also writes its JSON
+# report to a temporary file and checks that it parses. Pass --full to
+# also run the full bench suite (slow).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -56,29 +57,38 @@ echo "==> bench smoke (quick samples)"
 cargo bench --offline -p ae-bench --bench bench_simulation -- --quick
 cargo bench --offline -p ae-bench --bench bench_training -- --quick forest_fit
 
+# Runs one bench driver's --smoke gate with a JSON report, then checks that
+# the report parses as JSON.
+smoke() {
+    local json
+    json="$(mktemp -t "${1#bench_}-smoke.XXXXXX.json")"
+    cargo run --offline --release -p ae-bench --bin "$1" -- --smoke --json "$json"
+    python3 -m json.tool "$json" > /dev/null
+}
+
 echo "==> inference smoke (compiled forest ≡ interpreter bit-for-bit; compiled batched throughput >= interpreted)"
-cargo run --offline --release -p ae-bench --bin bench_inference -- --smoke
+smoke bench_inference
 
 echo "==> serving smoke (fixed-duration run; asserts qps > 0, zero dropped)"
-cargo run --offline --release -p ae-bench --bin bench_serving -- --smoke
+smoke bench_serving
 
 echo "==> qos smoke (moderate + overload phases; asserts finite rates, Interactive budget holds at moderate load, Interactive p99 < BestEffort p99 under overload, no tenant starvation)"
-cargo run --offline --release -p ae-bench --bin bench_qos -- --smoke
+smoke bench_qos
 
 echo "==> generalization smoke (train tpcds, score tpch + skew; asserts a full finite matrix)"
-cargo run --offline --release -p ae-bench --bin bench_generalization -- --smoke --json "$(mktemp -t generalization-smoke.XXXXXX.json)"
+smoke bench_generalization
 
 echo "==> fault smoke (zero-fault pin bit-identical, >= 99% completion via retry at moderate preemption, breaker trips to the heuristic fallback and recovers)"
-cargo run --offline --release -p ae-bench --bin bench_faults -- --smoke --json "$(mktemp -t faults-smoke.XXXXXX.json)"
+smoke bench_faults
 
 echo "==> obs smoke (trace roundtrip bit-identical, capture→replay determinism gate clean, obs overhead under bound)"
-cargo run --offline --release -p ae-bench --bin bench_obs -- --smoke --json "$(mktemp -t obs-smoke.XXXXXX.json)"
+smoke bench_obs
 
 echo "==> fleet smoke (4-shard aggregate qps >= 2x single-shard, finite per-shard p99 skew, zero dropped/errors)"
-cargo run --offline --release -p ae-bench --bin bench_fleet -- --smoke
+smoke bench_fleet
 
 echo "==> resilience smoke (1-of-4 shard kill: zero lost tickets, >= 60% goodput retained, probation re-admits)"
-cargo run --offline --release -p ae-bench --bin bench_resilience -- --smoke
+smoke bench_resilience
 
 if [[ "${1:-}" == "--full" ]]; then
     echo "==> full bench suite"
